@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,6 +157,17 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 			copy(buf, diskMagic)
 			buf[diskSize-1] ^= 0xFF
 			buf[len(diskMagic)] = 7 // non-zero payload so the zero CRC can't accidentally match
+			return buf
+		}()},
+		{"retired v1 format", func() []byte {
+			// A well-formed record of the retired "daoscch1" format
+			// (bandwidths only, valid checksum) is a miss and is
+			// rewritten, never served as a hit.
+			buf := make([]byte, 8+2*8+4)
+			copy(buf, "daoscch1")
+			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(5))
+			binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(7))
+			binary.LittleEndian.PutUint32(buf[24:], crc32.ChecksumIEEE(buf[8:24]))
 			return buf
 		}()},
 	}

@@ -20,19 +20,14 @@ import (
 // GET/PUT /v1/cache/{key} exchanges — the checksum rides along in both, so
 // a torn disk write and a truncated network body are rejected identically.
 //
-// The current format ("daoscch2") stores five payload fields: the two
-// bandwidths, the two degraded-window float64s, and the map-transition
-// count. Records written by the previous format ("daoscch1", bandwidths
-// only) still load, with zero degraded fields — which is exact, because
-// every point cached under that format necessarily ran without a fault
-// plan (fault-plan points key into a different address space entirely).
+// The format ("daoscch2") stores five payload fields: the two bandwidths,
+// the two degraded-window float64s, and the map-transition count. A
+// record of the retired "daoscch1" format decodes as corrupt, which costs
+// one cache miss: the point is re-simulated and rewritten in this format.
 const (
-	diskMagic     = "daoscch2"
-	diskPayload   = 5 * 8
-	diskSize      = len(diskMagic) + diskPayload + 4
-	diskMagicV1   = "daoscch1"
-	diskPayloadV1 = 2 * 8
-	diskSizeV1    = len(diskMagicV1) + diskPayloadV1 + 4
+	diskMagic   = "daoscch2"
+	diskPayload = 5 * 8
+	diskSize    = len(diskMagic) + diskPayload + 4
 )
 
 // ErrCorruptEntry reports a record that was present but did not decode:
@@ -53,37 +48,24 @@ func EncodeEntry(e Entry) []byte {
 	return buf
 }
 
-// DecodeEntry parses a record produced by EncodeEntry (or by the legacy
-// "daoscch1" format). Any record that is truncated, oversized, mis-tagged,
-// or checksum-failed returns ErrCorruptEntry.
+// DecodeEntry parses a record produced by EncodeEntry. Any record that is
+// truncated, oversized, mis-tagged, or checksum-failed returns
+// ErrCorruptEntry.
 func DecodeEntry(buf []byte) (Entry, error) {
-	var e Entry
-	switch {
-	case len(buf) == diskSize && string(buf[:len(diskMagic)]) == diskMagic:
-		payload := buf[len(diskMagic) : len(diskMagic)+diskPayload]
-		sum := binary.LittleEndian.Uint32(buf[len(diskMagic)+diskPayload:])
-		if crc32.ChecksumIEEE(payload) != sum {
-			return Entry{}, ErrCorruptEntry
-		}
-		e.WriteGiBs = math.Float64frombits(binary.LittleEndian.Uint64(payload[0:]))
-		e.ReadGiBs = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:]))
-		e.DegradedGiBs = math.Float64frombits(binary.LittleEndian.Uint64(payload[16:]))
-		e.RecoverySec = math.Float64frombits(binary.LittleEndian.Uint64(payload[24:]))
-		e.MapTransitions = int64(binary.LittleEndian.Uint64(payload[32:]))
-		return e, nil
-	case len(buf) == diskSizeV1 && string(buf[:len(diskMagicV1)]) == diskMagicV1:
-		// Legacy record: bandwidths only, degraded fields implicitly zero.
-		payload := buf[len(diskMagicV1) : len(diskMagicV1)+diskPayloadV1]
-		sum := binary.LittleEndian.Uint32(buf[len(diskMagicV1)+diskPayloadV1:])
-		if crc32.ChecksumIEEE(payload) != sum {
-			return Entry{}, ErrCorruptEntry
-		}
-		e.WriteGiBs = math.Float64frombits(binary.LittleEndian.Uint64(payload[0:]))
-		e.ReadGiBs = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:]))
-		return e, nil
-	default:
+	if len(buf) != diskSize || string(buf[:len(diskMagic)]) != diskMagic {
 		return Entry{}, ErrCorruptEntry
 	}
+	payload := buf[len(diskMagic) : len(diskMagic)+diskPayload]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[len(diskMagic)+diskPayload:]) {
+		return Entry{}, ErrCorruptEntry
+	}
+	return Entry{
+		WriteGiBs:      math.Float64frombits(binary.LittleEndian.Uint64(payload[0:])),
+		ReadGiBs:       math.Float64frombits(binary.LittleEndian.Uint64(payload[8:])),
+		DegradedGiBs:   math.Float64frombits(binary.LittleEndian.Uint64(payload[16:])),
+		RecoverySec:    math.Float64frombits(binary.LittleEndian.Uint64(payload[24:])),
+		MapTransitions: int64(binary.LittleEndian.Uint64(payload[32:])),
+	}, nil
 }
 
 // diskTier persists entries as one small checksummed file per key,

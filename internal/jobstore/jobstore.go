@@ -285,6 +285,17 @@ func (s *Store) Close() error {
 	return err
 }
 
+// frame renders one record of type t: the u32 payload length, the type
+// byte, the payload, and a CRC-32 over type byte and payload.
+func frame(t recordType, payload []byte) []byte {
+	rec := make([]byte, frameOverhead+len(payload))
+	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
+	rec[4] = byte(t)
+	copy(rec[5:], payload)
+	binary.LittleEndian.PutUint32(rec[5+len(payload):], crc32.ChecksumIEEE(rec[4:5+len(payload)]))
+	return rec
+}
+
 // appendLocked frames and appends one record, fsyncing before return.
 // The frame goes down in a single write so a crash tears at most the
 // final record — exactly what replay recovers from.
@@ -292,13 +303,7 @@ func (s *Store) appendLocked(t recordType, payload []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	frame := make([]byte, frameOverhead+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	frame[4] = byte(t)
-	copy(frame[5:], payload)
-	sum := crc32.ChecksumIEEE(frame[4 : 5+len(payload)])
-	binary.LittleEndian.PutUint32(frame[5+len(payload):], sum)
-	if _, err := s.f.Write(frame); err != nil {
+	if _, err := s.f.Write(frame(t, payload)); err != nil {
 		return fmt.Errorf("jobstore: append: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
@@ -321,12 +326,7 @@ func (s *Store) rotateLocked(n int, batches []Batch) error {
 		if err != nil {
 			return err
 		}
-		frame := make([]byte, frameOverhead+len(payload))
-		binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-		frame[4] = byte(t)
-		copy(frame[5:], payload)
-		binary.LittleEndian.PutUint32(frame[5+len(payload):], crc32.ChecksumIEEE(frame[4:5+len(payload)]))
-		_, err = tmp.Write(frame)
+		_, err = tmp.Write(frame(t, payload))
 		return err
 	}
 	err = func() error {

@@ -186,56 +186,44 @@ type statusError struct {
 
 func (e *statusError) Error() string { return e.msg }
 
-// post opens one submission exchange and returns the committed stream.
-func (c *Client) post(ctx context.Context, path string, payload any) (io.ReadCloser, error) {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("studysvc: encode submit: %w", err)
+// httpClient returns the transport: c.HTTP, or http.DefaultClient on a
+// hand-built Client that left it nil.
+func (c *Client) httpClient() *http.Client {
+	if c.HTTP != nil {
+		return c.HTTP
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("studysvc: build submit: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("studysvc: submit: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		diag, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
-		return nil, &statusError{code: resp.StatusCode, msg: fmt.Sprintf(
-			"studysvc: server rejected submit: %s: %s",
-			resp.Status, strings.TrimSpace(string(diag)))}
-	}
-	return resp.Body, nil
+	return http.DefaultClient
 }
 
-// get opens a resume exchange (GET /v1/studies/{batch}?from=seq) and
-// returns the committed stream.
-func (c *Client) get(ctx context.Context, pathAndQuery string) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+pathAndQuery, nil)
-	if err != nil {
-		return nil, fmt.Errorf("studysvc: build resume: %w", err)
+// open starts one stream exchange and returns the committed stream: a
+// POST of payload (a submission), or with a nil payload a GET of
+// pathAndQuery (a resume, /v1/studies/{batch}?from=seq).
+func (c *Client) open(ctx context.Context, pathAndQuery string, payload any) (io.ReadCloser, error) {
+	method, what, body := http.MethodGet, "resume", io.Reader(nil)
+	if payload != nil {
+		buf, err := json.Marshal(payload)
+		if err != nil {
+			return nil, fmt.Errorf("studysvc: encode submit: %w", err)
+		}
+		method, what, body = http.MethodPost, "submit", bytes.NewReader(buf)
 	}
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Do(req)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+pathAndQuery, body)
 	if err != nil {
-		return nil, fmt.Errorf("studysvc: resume: %w", err)
+		return nil, fmt.Errorf("studysvc: build %s: %w", what, err)
+	}
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("studysvc: %s: %w", what, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		diag, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
 		return nil, &statusError{code: resp.StatusCode, msg: fmt.Sprintf(
-			"studysvc: server rejected resume: %s: %s",
-			resp.Status, strings.TrimSpace(string(diag)))}
+			"studysvc: server rejected %s: %s: %s",
+			what, resp.Status, strings.TrimSpace(string(diag)))}
 	}
 	return resp.Body, nil
 }
@@ -342,6 +330,30 @@ func consumePoints(dec *json.Decoder, n int, fill func(StreamPoint) error) (Trai
 	return t, nil
 }
 
+// slotter maps streamed points back to their job positions: each call
+// returns the position of sp's grid coordinates, or an error for a point
+// outside the jobs (named by grid) or one already seen.
+func slotter(jobs []core.PointJob, grid string) func(sp StreamPoint) (int, error) {
+	slot := make(map[[3]int]int, len(jobs))
+	for i, j := range jobs {
+		slot[[3]int{j.Study, j.Series, j.Index}] = i
+	}
+	filled := make([]bool, len(jobs))
+	return func(sp StreamPoint) (int, error) {
+		i, ok := slot[[3]int{sp.Study, sp.Series, sp.Index}]
+		if !ok {
+			return 0, fmt.Errorf("studysvc: stream carried a point outside the %s (study=%d series=%d index=%d)",
+				grid, sp.Study, sp.Series, sp.Index)
+		}
+		if filled[i] {
+			return 0, fmt.Errorf("studysvc: stream carried a duplicate point (study=%d series=%d index=%d)",
+				sp.Study, sp.Series, sp.Index)
+		}
+		filled[i] = true
+		return i, nil
+	}
+}
+
 // exchange performs one Submit attempt: the initial POST while no batch
 // id is known, or a GET resume from the last received offset once the
 // server has echoed one. It consumes the stream through fill and returns
@@ -351,9 +363,9 @@ func (c *Client) exchange(ctx context.Context, cfgs []core.Config, batchID strin
 	var body io.ReadCloser
 	var err error
 	if *batch == "" {
-		body, err = c.post(ctx, PathSubmit, SubmitRequest{Configs: cfgs, Batch: batchID})
+		body, err = c.open(ctx, PathSubmit, SubmitRequest{Configs: cfgs, Batch: batchID})
 	} else {
-		body, err = c.get(ctx, fmt.Sprintf("%s/%s?from=%d", PathSubmit, *batch, lastSeq))
+		body, err = c.open(ctx, fmt.Sprintf("%s/%s?from=%d", PathSubmit, *batch, lastSeq), nil)
 	}
 	if err != nil {
 		return Trailer{}, err
@@ -411,22 +423,11 @@ func (c *Client) Submit(ctx context.Context, cfgs []core.Config) ([]*core.Study,
 	// Header arrived can be re-POSTed idempotently: the server re-attaches
 	// to the batch it already opened instead of scheduling a duplicate.
 	batchID := newBatchID()
-	filled := make([]bool, len(jobs))
-	slot := make(map[[3]int]int, len(jobs))
-	for i, j := range jobs {
-		slot[[3]int{j.Study, j.Series, j.Index}] = i
-	}
+	place := slotter(jobs, "batch grid")
 	fill := func(sp StreamPoint) error {
-		i, ok := slot[[3]int{sp.Study, sp.Series, sp.Index}]
-		if !ok {
-			return fmt.Errorf("studysvc: stream carried a point outside the batch grid (study=%d series=%d index=%d)",
-				sp.Study, sp.Series, sp.Index)
+		if _, err := place(sp); err != nil {
+			return err
 		}
-		if filled[i] {
-			return fmt.Errorf("studysvc: stream carried a duplicate point (study=%d series=%d index=%d)",
-				sp.Study, sp.Series, sp.Index)
-		}
-		filled[i] = true
 		received++
 		if sp.Seq > lastSeq {
 			lastSeq = sp.Seq
@@ -492,7 +493,7 @@ func (c *Client) SubmitJobs(ctx context.Context, jobs []core.PointJob) ([]core.P
 	if len(jobs) == 0 {
 		return nil, nil
 	}
-	body, err := c.post(ctx, PathSubmitPoints, PointsRequest{Jobs: jobs})
+	body, err := c.open(ctx, PathSubmitPoints, PointsRequest{Jobs: jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -507,24 +508,13 @@ func (c *Client) SubmitJobs(ctx context.Context, jobs []core.PointJob) ([]core.P
 		return nil, fmt.Errorf("studysvc: server accepted %d point jobs, client sent %d", h.Points, len(jobs))
 	}
 	pts := make([]core.Point, len(jobs))
-	filled := make([]bool, len(jobs))
-	slot := make(map[[3]int]int, len(jobs))
-	for i, j := range jobs {
-		slot[[3]int{j.Study, j.Series, j.Index}] = i
-	}
+	place := slotter(jobs, "job batch")
 	_, err = consumePoints(dec, len(jobs), func(sp StreamPoint) error {
-		i, ok := slot[[3]int{sp.Study, sp.Series, sp.Index}]
-		if !ok {
-			return fmt.Errorf("studysvc: stream carried a point outside the job batch (study=%d series=%d index=%d)",
-				sp.Study, sp.Series, sp.Index)
+		i, err := place(sp)
+		if err == nil {
+			pts[i] = sp.toPoint()
 		}
-		if filled[i] {
-			return fmt.Errorf("studysvc: stream carried a duplicate point (study=%d series=%d index=%d)",
-				sp.Study, sp.Series, sp.Index)
-		}
-		filled[i] = true
-		pts[i] = sp.toPoint()
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -538,11 +528,7 @@ func (c *Client) Health(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Do(req)
+	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return fmt.Errorf("studysvc: health: %w", err)
 	}
@@ -562,11 +548,7 @@ func (c *Client) Stats(ctx context.Context) (ServerStats, error) {
 	if err != nil {
 		return st, err
 	}
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Do(req)
+	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return st, fmt.Errorf("studysvc: stats: %w", err)
 	}

@@ -3,95 +3,35 @@ package studysvc
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"daosim/internal/core"
-	"daosim/internal/jobstore"
 )
 
 // This file is the durable half of the scheduler: batch submissions
 // that survive a daosd crash and streams that re-attach mid-flight.
-// It engages only when Config.Store is set; the storeless path in
-// studysvc.go is untouched.
+// It engages only when Config.Store is set, and it adds no second
+// delivery path: a durable batch is a batchState like any other (see
+// batch.go), distinguished only by being registered and by its lifetime.
 //
-// A durable batch's lifecycle: handleSubmit journals the submission and
-// opens a batchState; an enqueue goroutine schedules its jobs under the
+// A durable batch's lifecycle: handleSubmit opens a registered batch,
+// which journals the submission and schedules its jobs under the
 // server's lifetime context (not the request's — the client may come
-// and go); a collector goroutine drains results, assigns each point its
-// delivery sequence number, journals it, and appends it to the replay
-// log; any number of stream attachments (the original POST, or GET
-// resume legs) serve the replay log from an offset and then follow live
-// deliveries. When the trailer has been delivered to some client, the
-// batch retires: a done record hits the journal and the state is
-// dropped. A batch interrupted by a crash is rebuilt from the journal
-// on startup — completed points pre-populate the replay log, the rest
-// re-enqueue.
-
-// batchState is one durable batch resident in memory.
-type batchState struct {
-	id      string
-	jobs    []core.PointJob
-	studies int
-	slot    map[[3]int]int // grid coordinates -> job position
-	start   time.Time
-
-	// results is the delivery channel shared with the scheduler,
-	// buffered to the whole batch so workers never block on it.
-	results chan StreamPoint
-	retried atomic.Int64
-
-	mu sync.Mutex
-	// delivered is the replay log: delivered[i].Seq == i+1. Appended to
-	// only by the collector; streamed by any number of attachments.
-	delivered []StreamPoint
-	// done marks job positions already delivered (or recovered), so a
-	// duplicate result — a recovered point whose in-flight twin also
-	// lands — is dropped rather than double-counted.
-	done                          []bool
-	hits, misses, errs, coalesced int
-	trailer                       *Trailer
-	retired                       bool
-	// waiters are attachment wakeups: closed and cleared on every
-	// delivery and on the trailer.
-	waiters map[chan struct{}]struct{}
-}
-
-func newBatchState(id string, jobs []core.PointJob, studies int) *batchState {
-	b := &batchState{
-		id:      id,
-		jobs:    jobs,
-		studies: studies,
-		slot:    make(map[[3]int]int, len(jobs)),
-		start:   time.Now(),
-		results: make(chan StreamPoint, len(jobs)),
-		done:    make([]bool, len(jobs)),
-		waiters: make(map[chan struct{}]struct{}),
-	}
-	for i, j := range jobs {
-		b.slot[[3]int{j.Study, j.Series, j.Index}] = i
-	}
-	return b
-}
-
-// broadcastLocked wakes every attachment waiting for the next delivery.
-func (b *batchState) broadcastLocked() {
-	for ch := range b.waiters {
-		close(ch)
-	}
-	clear(b.waiters)
-}
-
-// slotOf maps a result's grid coordinates back to its job position.
-func (b *batchState) slotOf(sp StreamPoint) (int, bool) {
-	i, ok := b.slot[[3]int{sp.Study, sp.Series, sp.Index}]
-	return i, ok
-}
+// and go). deliver journals each result before appending it to the
+// delivery log, so journal order is delivery order; any number of
+// stream attachments (the original POST, or GET resume legs) serve the
+// log from an offset and then follow live deliveries. When the trailer
+// has been delivered to some client, the batch retires: a done record
+// hits the journal and the state is dropped. Close cancels the lifetime
+// context before anything else, so a shutdown journals nothing that
+// lands afterwards — in particular not the cancellation placeholders of
+// the points it interrupted. A batch interrupted by a crash or shutdown
+// is rebuilt from the journal on startup: completed points pre-populate
+// the delivery log, the rest re-enqueue.
 
 // DurabilityStats is the /v1/statsz durability block of a daosd running
 // with a job store.
@@ -126,31 +66,6 @@ func newBatchID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// openBatch returns the live batchState for id, creating (and
-// journaling, and scheduling) it on first sight. The second return is
-// false when the id was already live — a re-POST that should re-attach,
-// not re-schedule.
-func (s *Server) openBatch(id string, cfgs []core.Config) (*batchState, bool) {
-	s.batchMu.Lock()
-	if b, ok := s.batches[id]; ok {
-		s.batchMu.Unlock()
-		return b, false
-	}
-	_, jobs := core.Decompose(cfgs)
-	b := newBatchState(id, jobs, len(cfgs))
-	s.batches[id] = b
-	s.batchMu.Unlock()
-
-	if err := s.store.AppendBatch(id, cfgs); err != nil {
-		// The batch still runs; it just will not survive a crash.
-		s.journalErrs.Add(1)
-	}
-	s.journaled.Add(1)
-	go s.collect(b)
-	go s.enqueue(s.probeCtx, b.jobs, nil, &b.retried, b.results, true)
-	return b, true
-}
-
 // lookupBatch returns the live batchState for id, if any.
 func (s *Server) lookupBatch(id string) *batchState {
 	s.batchMu.Lock()
@@ -158,181 +73,31 @@ func (s *Server) lookupBatch(id string) *batchState {
 	return s.batches[id]
 }
 
-// collect is a durable batch's single result drain: it orders
-// deliveries, journals them, appends them to the replay log, and builds
-// the trailer once every job has landed. It exits early only on server
-// shutdown — a crash, after which the journal has everything collected
-// so far.
-func (s *Server) collect(b *batchState) {
-	need := len(b.jobs)
-	b.mu.Lock()
-	have := len(b.delivered)
-	b.mu.Unlock()
-	for have < need {
-		select {
-		case sp := <-b.results:
-			if s.deliver(b, sp) {
-				have++
-			}
-		case <-s.quit:
-			return
-		}
-	}
-	t := Trailer{
-		Done:         true,
-		Points:       need,
-		CacheEnabled: s.cache != nil,
-		Retries:      int(b.retried.Load()),
-	}
-	b.mu.Lock()
-	t.CacheHits = b.hits
-	t.CacheMisses = b.misses
-	t.Errors = b.errs
-	t.Coalesced = b.coalesced
-	t.ElapsedNS = int64(time.Since(b.start))
-	b.trailer = &t
-	b.broadcastLocked()
-	b.mu.Unlock()
-}
-
-// deliver journals one result and appends it to the replay log,
-// assigning its sequence number. Duplicates (possible when a recovered
-// point's original execution was still in flight at the crash) are
-// dropped. The journal write happens before the point becomes visible:
-// a point a client saw is always a point a restarted server still has.
-func (s *Server) deliver(b *batchState, sp StreamPoint) bool {
-	pos, ok := b.slotOf(sp)
-	if !ok {
-		return false
-	}
-	b.mu.Lock()
-	dup := b.done[pos]
-	if !dup {
-		b.done[pos] = true
-	}
-	b.mu.Unlock()
-	if dup {
-		return false
-	}
-	if err := s.store.AppendPoint(b.id, jobstore.PointRecord{
-		Pos:       pos,
-		Point:     sp.toPoint(),
-		CacheHit:  sp.CacheHit,
-		Coalesced: sp.Coalesced,
-	}); err != nil {
-		s.journalErrs.Add(1)
-	}
-	b.mu.Lock()
-	sp.Seq = len(b.delivered) + 1
-	b.delivered = append(b.delivered, sp)
-	if sp.CacheHit {
-		b.hits++
-	} else {
-		b.misses++
-	}
-	if sp.Coalesced {
-		b.coalesced++
-	}
-	if sp.Err != "" {
-		b.errs++
-	}
-	b.broadcastLocked()
-	b.mu.Unlock()
-	return true
-}
-
-// serveBatch streams b's replay log from offset `from` (a seq: the
-// client has everything up to and including it) and follows live
-// deliveries through the trailer. Any number of attachments can serve
-// one batch concurrently; whichever delivers the trailer first retires
-// the batch.
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, b *batchState, from int) {
-	ctx := r.Context()
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Encode(Header{Batch: b.id, Points: len(b.jobs), Studies: b.studies}); err != nil {
-		return
-	}
-	flush()
-
-	next := max(from, 0)
-	for {
-		b.mu.Lock()
-		var chunk []StreamPoint
-		if next < len(b.delivered) {
-			chunk = append(chunk, b.delivered[next:]...)
-		}
-		trailer := b.trailer
-		var wake chan struct{}
-		if len(chunk) == 0 && trailer == nil {
-			wake = make(chan struct{})
-			b.waiters[wake] = struct{}{}
-		}
-		b.mu.Unlock()
-
-		if len(chunk) > 0 {
-			for _, sp := range chunk {
-				if err := enc.Encode(sp); err != nil {
-					return // client gone; the batch keeps running
-				}
-			}
-			flush()
-			next += len(chunk)
-			continue // re-check: the trailer may already be set
-		}
-		if trailer != nil {
-			if err := enc.Encode(*trailer); err != nil {
-				return
-			}
-			flush()
-			s.retireBatch(b)
-			return
-		}
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// retireBatch drops a fully-delivered batch: the journal gets its done
-// record and the state leaves the live table. Idempotent across
-// concurrent attachments.
+// retireBatch drops a fully-delivered registered batch: the journal gets
+// its done record and the state leaves the live table. It is a no-op for
+// an unregistered batch (never in the table) and for every attachment
+// after the first.
 func (s *Server) retireBatch(b *batchState) {
-	b.mu.Lock()
-	already := b.retired
-	b.retired = true
-	b.mu.Unlock()
-	if already {
+	s.batchMu.Lock()
+	defer s.batchMu.Unlock()
+	if s.batches[b.id] != b {
 		return
 	}
 	if err := s.store.BatchDone(b.id); err != nil {
 		s.journalErrs.Add(1)
 	}
-	s.batchMu.Lock()
 	delete(s.batches, b.id)
-	s.batchMu.Unlock()
 }
 
 // recoverBatches rebuilds the store's unfinished batches at startup:
-// completed points pre-populate each replay log (re-sequenced in their
+// completed points pre-populate each delivery log (re-sequenced in their
 // original delivery order), and only the points that never finished are
 // re-enqueued. Runs before the server accepts connections, but the
 // re-enqueued work executes on the normal pool machinery.
 func (s *Server) recoverBatches() {
 	for _, rb := range s.store.Recovered() {
 		_, jobs := core.Decompose(rb.Configs)
-		b := newBatchState(rb.ID, jobs, len(rb.Configs))
+		b := s.newBatch(s.ctx, rb.ID, jobs, len(rb.Configs))
 		for _, pr := range rb.Points {
 			if pr.Pos < 0 || pr.Pos >= len(jobs) || b.done[pr.Pos] {
 				continue
@@ -340,29 +105,15 @@ func (s *Server) recoverBatches() {
 			b.done[pr.Pos] = true
 			sp := toWire(jobs[pr.Pos], pr.Point, pr.CacheHit)
 			sp.Coalesced = pr.Coalesced
-			sp.Seq = len(b.delivered) + 1
-			b.delivered = append(b.delivered, sp)
-			if sp.CacheHit {
-				b.hits++
-			} else {
-				b.misses++
-			}
-			if sp.Coalesced {
-				b.coalesced++
-			}
-			if sp.Err != "" {
-				b.errs++
-			}
+			b.pushLocked(sp) // b is not shared yet
 		}
-		skip := append([]bool(nil), b.done...)
 		s.batchMu.Lock()
 		s.batches[rb.ID] = b
 		s.batchMu.Unlock()
 		s.recovery.RecoveredBatches++
-		s.recovery.ReplayedPoints += len(b.delivered)
-		s.recovery.ReenqueuedPoints += len(jobs) - len(b.delivered)
-		go s.collect(b)
-		go s.enqueue(s.probeCtx, b.jobs, skip, &b.retried, b.results, true)
+		s.recovery.ReplayedPoints += len(b.log)
+		s.recovery.ReenqueuedPoints += len(jobs) - len(b.log)
+		go s.enqueue(b, slices.Clone(b.done))
 	}
 }
 
@@ -406,17 +157,4 @@ func (s *Server) durabilityStats() *DurabilityStats {
 	d.ResumedStreams = s.resumed.Load()
 	d.JournalErrors = s.journalErrs.Load()
 	return &d
-}
-
-// kill is the crash test hook: stop the scheduler exactly as a SIGKILL
-// would be observed — no drain, no journal retirement, no fabricated
-// abandonment points — so restart/recovery tests exercise the same
-// state a dead process leaves behind. Tests call Close afterwards to
-// reap the pool goroutines.
-func (s *Server) kill() {
-	s.closeOnce.Do(func() {
-		s.draining.Store(true)
-		close(s.quit)
-		s.probeCancel()
-	})
 }

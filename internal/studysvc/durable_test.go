@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -294,6 +295,64 @@ func TestKillRestartResume(t *testing.T) {
 	}
 }
 
+// TestCloseNeverJournalsCancellations is the drain regression test: a
+// graceful Close at a random instant mid-batch must not journal the
+// placeholder results of the points it interrupted ("submission canceled
+// before the point ran"). A restarted daosd would replay such a record
+// as a failed point instead of re-running it.
+func TestCloseNeverJournalsCancellations(t *testing.T) {
+	variants := make([]core.Variant, 6)
+	for i := range variants {
+		variants[i] = core.Variant{Label: fmt.Sprintf("v%d", i), API: ior.APIDFS}
+	}
+	grid := smallConfig(variants)
+	grid.Nodes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cfgs := []core.Config{grid}
+	if _, jobs := core.Decompose(cfgs); len(jobs) != 60 {
+		t.Fatalf("grid decomposed to %d points, want 60", len(jobs))
+	}
+
+	for it := 0; it < 50; it++ {
+		dir := t.TempDir()
+		store := openStore(t, dir)
+		srv := New(Config{
+			Workers:   1,
+			NewWorker: func() Worker { return stubWorker{delay: 5 * time.Millisecond} },
+			Store:     store,
+		})
+		ts := httptest.NewServer(srv)
+		client := NewClient(ts.URL)
+		client.RetryAttempts = 1 // the Close below severs the stream for good
+		var landed atomic.Int64
+		client.OnPoint = func(StreamPoint) { landed.Add(1) }
+		submitted := make(chan struct{})
+		go func() {
+			defer close(submitted)
+			client.Submit(context.Background(), cfgs)
+		}()
+
+		waitFor(t, "the first points", func() bool { return landed.Load() >= 3 })
+		time.Sleep(rand.N(10 * time.Millisecond))
+		srv.Close()
+		<-submitted
+		ts.Close()
+		// daosd reports its drain summary between Server.Close and its
+		// deferred store.Close; give straggling goroutines that long.
+		time.Sleep(5 * time.Millisecond)
+		store.Close()
+
+		reopened := openStore(t, dir)
+		for _, rb := range reopened.Recovered() {
+			for _, pr := range rb.Points {
+				if pr.Point.Err != "" {
+					t.Fatalf("iteration %d: Close journaled position %d as a failed point (%q)", it, pr.Pos, pr.Point.Err)
+				}
+			}
+		}
+		reopened.Close()
+	}
+}
+
 // TestResumeUnknownBatchIs404: re-attaching to a batch the journal never
 // heard of (or already retired) is a permanent 404, not a hang or retry.
 func TestResumeUnknownBatchIs404(t *testing.T) {
@@ -326,8 +385,8 @@ func TestRePostReattaches(t *testing.T) {
 		Store:     store,
 	})
 	cfgs := durableConfigs()
-	b1, created1 := srv.openBatch("batch-x", cfgs)
-	b2, created2 := srv.openBatch("batch-x", cfgs)
+	b1, created1 := srv.openBatch(srv.ctx, "batch-x", cfgs)
+	b2, created2 := srv.openBatch(srv.ctx, "batch-x", cfgs)
 	if !created1 || created2 {
 		t.Fatalf("openBatch created = (%v,%v), want (true,false)", created1, created2)
 	}

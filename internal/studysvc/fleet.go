@@ -107,7 +107,7 @@ func probeWait(rng *rand.Rand, backoff time.Duration) time.Duration {
 // seeded RNG) until the probe succeeds or the server shuts down. While it
 // runs, the member's goroutine is not receiving from the job queue — being
 // down IS not being scheduled. Returns false when shutdown interrupted the
-// wait. Each probe's context derives from the server's probe context, so
+// wait. Each probe's context derives from the server's lifetime, so
 // Close cancels a probe already in flight instead of waiting out its
 // timeout. Workers without a Probe are readmitted after a single backoff
 // interval: with no way to check them, one quarantine period is the only
@@ -117,7 +117,7 @@ func (s *Server) probeUntilUp(m *member) bool {
 	backoff := s.cfg.ProbeBase
 	for {
 		select {
-		case <-s.quit:
+		case <-s.ctx.Done():
 			return false
 		case <-time.After(probeWait(m.rng, backoff)):
 		}
@@ -126,13 +126,13 @@ func (s *Server) probeUntilUp(m *member) bool {
 			break
 		}
 		m.probes.Add(1)
-		ctx, cancel := context.WithTimeout(s.probeCtx, probeTimeout)
+		ctx, cancel := context.WithTimeout(s.ctx, probeTimeout)
 		err := prober.Probe(ctx)
 		cancel()
 		if err == nil {
 			break
 		}
-		if s.probeCtx.Err() != nil {
+		if s.ctx.Err() != nil {
 			return false
 		}
 		if backoff *= 2; backoff > s.cfg.ProbeMax {

@@ -76,13 +76,19 @@ func TestSingleFlightDedupsConcurrentSubmissions(t *testing.T) {
 	}
 
 	// Both unique keys are in flight once A's and B's enqueue loops have
-	// run: the nodes=2 flight is pinned open by the gated worker, so every
-	// later nodes=2 job — A's in-batch duplicate and B's overlap — must
-	// coalesce onto it, and nodes=3 waits behind it for the single slot.
-	waitFor(t, "both unique keys in flight", func() bool {
+	// run: the first nodes=2 job (A's or B's) leads a flight the gated
+	// worker pins open, so the other two nodes=2 jobs must coalesce onto
+	// it, and nodes=3 waits behind it for the single slot. Waiting for the
+	// two parked jobs too keeps this deterministic: a batch whose enqueue
+	// loop first ran after the gate opened would find cache hits instead.
+	waitFor(t, "both unique keys in flight, two jobs parked", func() bool {
 		srv.flightMu.Lock()
 		defer srv.flightMu.Unlock()
-		return len(srv.flights) == 2
+		parked := 0
+		for _, f := range srv.flights {
+			parked += len(f.waiters)
+		}
+		return len(srv.flights) == 2 && parked == 2
 	})
 	close(worker.gate)
 	wg.Wait()

@@ -20,12 +20,16 @@
 //
 // All submissions share one job queue drained by the pool members (the
 // shard width), so concurrent clients compete fairly for simulation
-// capacity and the process never exceeds its concurrency bound. Per-request
-// result channels are buffered to the full batch size: a worker can always
-// deliver without blocking, which means one slow or vanished client cannot
-// wedge the pool. When a client disconnects mid-stream its remaining queued
-// jobs are skipped (their contexts are canceled) and in-flight points
-// finish and are discarded.
+// capacity and the process never exceeds its concurrency bound. Every
+// submission is a batch with one delivery log, allocated to the batch
+// size up front: a worker appends its result without waiting for any
+// client, so one slow or vanished client cannot wedge the pool, and
+// every stream — the submitting request's, or a resume leg's — reads
+// that log from an offset and follows it to the trailer. A batch runs
+// under a context.
+// Storeless submissions and the /v1/points leg run under their request:
+// when the client disconnects mid-stream, the batch's remaining queued
+// jobs are skipped and its in-flight points finish and are discarded.
 //
 // # The worker fleet
 //
@@ -83,12 +87,12 @@
 // # Durable submissions
 //
 // With Config.Store set (daosd -store-dir), PathSubmit batches are
-// journaled and their streams resumable: jobs run under the server's
-// lifetime rather than the request's, completed points are appended to
-// the job store before they are streamed, and a client that lost its
-// connection — or whose server was kill -9ed and restarted — re-attaches
-// with GET /v1/studies/{batch}?from=seq and receives exactly the points
-// it missed. See durable.go and the protocol comment for the lifecycle.
+// registered and journaled: they run under the server's lifetime rather
+// than the request's, each result is appended to the job store before it
+// enters the delivery log, and a client that lost its connection — or
+// whose server was kill -9ed and restarted — re-attaches with GET
+// /v1/studies/{batch}?from=seq and receives exactly the points it
+// missed. See durable.go and the protocol comment for the lifecycle.
 package studysvc
 
 import (
@@ -144,15 +148,16 @@ type Config struct {
 	Store *jobstore.Store
 }
 
-// task is one scheduled point job plus the submission it reports to.
+// task is one scheduled point job: position pos of batch b.
 type task struct {
-	ctx      context.Context
-	job      core.PointJob
-	key      cache.Key          // content address (set whenever a cache is configured)
-	attempts int                // dispatches so far (0 until first failure)
-	retries  *atomic.Int64      // the submission's retry counter (trailer)
-	out      chan<- StreamPoint // buffered to the batch size; sends never block
+	b        *batchState
+	pos      int
+	key      cache.Key // content address (set whenever a cache is configured)
+	attempts int       // dispatches so far (0 until first failure)
 }
+
+// job returns the point job t schedules.
+func (t task) job() core.PointJob { return t.b.jobs[t.pos] }
 
 // flight is one in-flight point key: the leader task is dispatched, every
 // later task of the same key parks here until the leader's result lands.
@@ -167,15 +172,15 @@ type Server struct {
 	cache   *cache.Cache
 	members []*member
 	queue   chan task
-	quit    chan struct{}
 	wg      sync.WaitGroup
 	mux     *http.ServeMux
 
-	// probeCtx parents every health probe of a down member; Close cancels
-	// it so probes in flight return immediately instead of riding out
-	// probeTimeout and stalling the drain.
-	probeCtx    context.Context
-	probeCancel context.CancelFunc
+	// ctx is the server's lifetime: registered batches run under it, and
+	// every pool loop, dispatch, stream, and health probe ends with it.
+	// Close cancels it first, so probes in flight return immediately
+	// instead of riding out probeTimeout and stalling the drain.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// flights is the single-flight table: one entry per point key currently
 	// between cache lookup and result delivery.
@@ -223,11 +228,10 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   cfg.Cache,
 		queue:   make(chan task),
-		quit:    make(chan struct{}),
 		mux:     http.NewServeMux(),
 		flights: make(map[cache.Key]*flight),
 	}
-	s.probeCtx, s.probeCancel = context.WithCancel(context.Background())
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	// Member names must be unique: they key the /v1/statsz fleet entries
 	// and seed the probe jitter, so two members sharing a name would be
 	// indistinguishable in diagnostics (and probe in lockstep). A repeated
@@ -314,12 +318,20 @@ func (s *Server) Retries() int64 { return s.retries.Load() }
 // and end their streams early (truncated, i.e. without a trailer — the
 // client-visible signal for mid-flight loss). Close is idempotent.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.draining.Store(true)
-		close(s.quit)
-		s.probeCancel()
-	})
+	s.kill()
 	s.wg.Wait()
+}
+
+// kill is Close without the wait, and the crash test hook: the lifetime
+// context is canceled before anything else can observe the shutdown, so
+// no result that lands afterwards is journaled — the journal is left as
+// a SIGKILLed daosd leaves it. Tests call Close afterwards to reap the
+// pool.
+func (s *Server) kill() {
+	s.closeOnce.Do(func() {
+		s.cancel()
+		s.draining.Store(true)
+	})
 }
 
 // ServeHTTP implements http.Handler.
@@ -336,40 +348,34 @@ func (s *Server) memberLoop(m *member) {
 	defer s.wg.Done()
 	defer m.close()
 	for {
+		var t task
 		select {
-		case <-s.quit:
+		case <-s.ctx.Done():
 			return
-		case t := <-s.queue:
-			if t.ctx.Err() != nil {
-				s.finishCanceled(t)
-				continue
+		case t = <-s.queue:
+		}
+		ctx := t.b.ctx
+		if ctx.Err() != nil {
+			s.promote(t.key)
+			continue
+		}
+		pt, err := m.w.RunPoint(ctx, t.job())
+		switch {
+		case ctx.Err() != nil && (err != nil || pt.Err != ""):
+			// The batch ended while the point was in flight, so the failure
+			// is its cancellation echoed back — evidence about neither the
+			// point nor (for a remote's transport error) the worker. A
+			// coalesced waiter from a live batch takes over the flight.
+			s.promote(t.key)
+		case err == nil:
+			m.points.Add(1)
+			if s.cache != nil && pt.Err == "" {
+				// Put before finish: the instant the flight resolves, a
+				// fresh looker-up of this key must already find the entry.
+				s.cache.Put(t.key, pt.CacheEntry())
 			}
-			pt, err := m.w.RunPoint(t.ctx, t.job)
-			if err == nil {
-				if t.ctx.Err() != nil && pt.Err != "" {
-					// The worker observed the submission's cancellation and
-					// returned a failed point instead of a result. That is
-					// this submission's loss only — a coalesced waiter from a
-					// live submission takes over the flight.
-					s.finishCanceled(t)
-					continue
-				}
-				m.points.Add(1)
-				if s.cache != nil && pt.Err == "" {
-					// Put before finish: the instant the flight resolves, a
-					// fresh looker-up of this key must already find the entry.
-					s.cache.Put(t.key, pt.CacheEntry())
-				}
-				s.finish(t, pt, false)
-				continue
-			}
-			if t.ctx.Err() != nil {
-				// The submission vanished while the point was in flight; a
-				// remote's transport error is then the cancellation echoed
-				// back, not evidence the worker is broken.
-				s.finishCanceled(t)
-				continue
-			}
+			s.finish(t, pt, false)
+		default:
 			m.failures.Add(1)
 			s.retry(t, m.name, err)
 			if !s.probeUntilUp(m) {
@@ -386,7 +392,7 @@ func (s *Server) memberLoop(m *member) {
 func (s *Server) retry(t task, worker string, cause error) {
 	t.attempts++
 	if t.attempts >= s.cfg.MaxAttempts {
-		pt := canceledPoint(t.job)
+		pt := canceledPoint(t.job())
 		pt.Err = fmt.Sprintf("studysvc: point abandoned after %d attempts; last worker %s: %v",
 			t.attempts, worker, cause)
 		// Abandonment resolves the flight too: the attempts were spent on
@@ -395,27 +401,15 @@ func (s *Server) retry(t task, worker string, cause error) {
 		return
 	}
 	s.retries.Add(1)
-	if t.retries != nil {
-		t.retries.Add(1)
-	}
-	go func() {
-		select {
-		case s.queue <- t:
-		case <-t.ctx.Done():
-			s.finishCanceled(t)
-		case <-s.quit:
-			pt := canceledPoint(t.job)
-			pt.Err = "studysvc: server draining; retried point abandoned"
-			s.finish(t, pt, false)
-		}
-	}()
+	t.b.retried.Add(1)
+	go s.dispatch(t)
 }
 
 // lead registers t as the flight for its key. It returns true when t is
 // the leader — the caller must eventually resolve the flight through
-// finish or finishCanceled — and false when the key is already in flight:
-// t has been parked as a waiter and will have the leader's result replayed
-// to it.
+// finish or promote — and false when the key is already in flight: t has
+// been parked as a waiter and will have the leader's result replayed to
+// it.
 func (s *Server) lead(t task) bool {
 	s.flightMu.Lock()
 	defer s.flightMu.Unlock()
@@ -439,77 +433,94 @@ func (s *Server) resolve(k cache.Key) []task {
 	return f.waiters
 }
 
-// finish delivers pt to t's submission and replays it to every waiter that
+// finish delivers pt to t's batch and replays it to every waiter that
 // coalesced onto t's flight.
 func (s *Server) finish(t task, pt core.Point, hit bool) {
-	t.out <- toWire(t.job, pt, hit)
+	s.deliver(t.b, t.pos, toWire(t.job(), pt, hit))
 	for _, w := range s.resolve(t.key) {
-		sp := toWire(w.job, pt, hit)
+		sp := toWire(w.job(), pt, hit)
 		sp.Coalesced = true
-		w.out <- sp
+		s.deliver(w.b, w.pos, sp)
 	}
 }
 
-// finishCanceled reports t's cancellation to its own submission, then
-// hands t's flight to the next waiter whose submission is still alive —
-// the leader's death must not lose a point other submissions are waiting
-// on.
-func (s *Server) finishCanceled(t task) {
-	t.out <- toWire(t.job, canceledPoint(t.job), false)
-	s.promote(t.key)
-}
-
-// promote pops dead waiters off k's flight (delivering their
-// cancellations) until it finds one with a live context, which it requeues
-// as the flight's new leader. With no live waiter the flight is dissolved.
+// promote hands k's flight on after its leader's batch ended: the leader's
+// death must not lose a point other batches are waiting on. Waiters whose
+// batches ended too are dropped — their results would be nobody's — and
+// the first live one is rerun as the flight's new leader, on its own
+// goroutine because promotion happens on a pool member's loop (or an
+// enqueue goroutine) that must not block waiting for a free slot. With no
+// live waiter the flight is dissolved.
 func (s *Server) promote(k cache.Key) {
-	var dead []task
 	var next *task
 	s.flightMu.Lock()
 	if f, ok := s.flights[k]; ok {
-		for len(f.waiters) > 0 {
-			w := f.waiters[0]
-			f.waiters = f.waiters[1:]
-			if w.ctx.Err() == nil {
+		for len(f.waiters) > 0 && next == nil {
+			if w := f.waiters[0]; w.b.ctx.Err() == nil {
 				next = &w
-				break
 			}
-			dead = append(dead, w)
+			f.waiters = f.waiters[1:]
 		}
 		if next == nil {
 			delete(s.flights, k)
 		}
 	}
 	s.flightMu.Unlock()
-	for _, w := range dead {
-		w.out <- toWire(w.job, canceledPoint(w.job), false)
-	}
 	if next != nil {
-		s.requeue(*next)
+		go s.run(*next)
 	}
 }
 
-// requeue dispatches a promoted waiter as its flight's new leader, on its
-// own goroutine because promotion happens on a pool member's loop (or an
-// enqueue goroutine) that must not block waiting for a free slot.
-func (s *Server) requeue(t task) {
-	go func() {
+// run serves t from the cache or, on a miss, hands it to the pool. It
+// reports false when t's batch or the server ended first.
+func (s *Server) run(t task) bool {
+	if s.cache != nil {
+		if e, ok := s.cache.Get(t.key); ok {
+			s.finish(t, t.job().FromEntry(e), true)
+			return true
+		}
+	}
+	return s.dispatch(t)
+}
+
+// dispatch hands t to the pool. When t's batch ends first, t's flight
+// passes to a live waiter; when the server shuts down, t is dropped. It
+// reports whether t was queued.
+func (s *Server) dispatch(t task) bool {
+	select {
+	case s.queue <- t:
+		return true
+	case <-t.b.ctx.Done():
+		s.promote(t.key)
+	case <-s.ctx.Done():
+	}
+	return false
+}
+
+// enqueue schedules b's jobs, passing over the positions marked in skip
+// (nil for a fresh batch; a recovered batch's journaled points). With a
+// cache configured, each job first takes single-flight leadership of its
+// key — a key already in flight (a duplicate in this batch, or a
+// concurrent submission's) parks the job as a waiter instead — and the
+// leader holds the flight across its cache lookup, so concurrent
+// lookers-up of one key cost one lookup: for a remote tier, one network
+// exchange, not a stampede. Enqueueing stops when b or the server ends.
+func (s *Server) enqueue(b *batchState, skip []bool) {
+	for pos, j := range b.jobs {
+		if skip != nil && skip[pos] {
+			continue
+		}
+		t := task{b: b, pos: pos}
 		if s.cache != nil {
-			if e, ok := s.cache.Get(t.key); ok {
-				s.finish(t, t.job.FromEntry(e), true)
-				return
+			t.key = j.Key()
+			if !s.lead(t) {
+				continue
 			}
 		}
-		select {
-		case s.queue <- t:
-		case <-t.ctx.Done():
-			s.finishCanceled(t)
-		case <-s.quit:
-			pt := canceledPoint(t.job)
-			pt.Err = "studysvc: server draining; retried point abandoned"
-			s.finish(t, pt, false)
+		if !s.run(t) {
+			return
 		}
-	}()
+	}
 }
 
 // handleSubmit decomposes a batch, schedules its points, and streams results
@@ -524,26 +535,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "studysvc: empty batch", http.StatusBadRequest)
 		return
 	}
+	if s.draining.Load() {
+		// Losing the race against Close must be loud: a 503 before any
+		// stream byte, never a silently dropped batch.
+		http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
+		return
+	}
+	ctx, id := r.Context(), ""
 	if s.store != nil {
-		if s.draining.Load() {
-			http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
-			return
-		}
-		id := req.Batch
+		// A journaled batch outlives its request: the client may come and
+		// go. openBatch is idempotent on the id, so a client re-POSTing
+		// after a lost connection re-attaches to the running batch from
+		// seq 0.
+		ctx, id = s.ctx, req.Batch
 		if id == "" {
 			id = newBatchID()
 		}
-		// openBatch is idempotent on the id: a client re-POSTing after a
-		// lost connection re-attaches to the running batch from seq 0.
-		b, _ := s.openBatch(id, req.Configs)
-		s.serveBatch(w, r, b, 0)
-		return
 	}
 	// A batch that decomposes to zero points (e.g. a config with no
 	// variants) streams normally — header then trailer — matching
 	// core.Runner.RunAll, which returns such studies with empty series.
-	_, jobs := core.Decompose(req.Configs)
-	s.stream(w, r, jobs, len(req.Configs))
+	b, _ := s.openBatch(ctx, id, req.Configs)
+	s.serveBatch(w, r, b, 0)
 }
 
 // handleSubmitPoints schedules pre-decomposed jobs — the coordinator-to-
@@ -558,145 +571,17 @@ func (s *Server) handleSubmitPoints(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "studysvc: empty job batch", http.StatusBadRequest)
 		return
 	}
+	if s.draining.Load() {
+		http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
+		return
+	}
 	studies := make(map[int]bool)
 	for _, j := range req.Jobs {
 		studies[j.Study] = true
 	}
-	s.stream(w, r, req.Jobs, len(studies))
-}
-
-// enqueue schedules a batch's jobs: cache hits are served inline, the
-// rest go to the pool queue, with single-flight leadership when a cache
-// is configured. skip (may be nil) marks positions already satisfied —
-// a recovered batch's journaled points. The durable flag selects the
-// abandonment semantics at shutdown: an ephemeral submission fabricates
-// loud "abandoned" failure points so its stream accounts for every job,
-// while a durable batch simply stops — its unscheduled jobs are exactly
-// what a restart re-enqueues from the journal, and fabricating failures
-// would journal them as results.
-func (s *Server) enqueue(ctx context.Context, jobs []core.PointJob, skip []bool, retried *atomic.Int64, out chan<- StreamPoint, durable bool) {
-	for i, j := range jobs {
-		if skip != nil && skip[i] {
-			continue
-		}
-		t := task{ctx: ctx, job: j, retries: retried, out: out}
-		if s.cache == nil {
-			// No cache, no dedup contract: every job dispatches.
-			select {
-			case s.queue <- t:
-			case <-ctx.Done():
-				return
-			case <-s.quit:
-				return
-			}
-			continue
-		}
-		t.key = j.Key()
-		if !s.lead(t) {
-			// The key is already in flight (a duplicate in this batch,
-			// or a concurrent submission's); the leader's result will
-			// be replayed here.
-			continue
-		}
-		// The leader holds the flight across the cache lookup, so
-		// concurrent lookers-up of one key cost one lookup — which for
-		// a remote tier means one network exchange, not a stampede.
-		if e, ok := s.cache.Get(t.key); ok {
-			s.finish(t, t.job.FromEntry(e), true)
-			continue
-		}
-		select {
-		case s.queue <- t:
-		case <-ctx.Done():
-			if durable {
-				return
-			}
-			// This flight may have collected waiters from other live
-			// submissions; hand it to one of them rather than leaking it.
-			s.finishCanceled(t)
-			return
-		case <-s.quit:
-			if durable {
-				return
-			}
-			pt := canceledPoint(t.job)
-			pt.Err = "studysvc: server draining; queued point abandoned"
-			s.finish(t, pt, false)
-			return
-		}
-	}
-}
-
-// stream is the scheduling core shared by both submission forms: it commits
-// the response, enqueues every job (serving cache hits inline), and relays
-// results to the client as they land, closing with the batch trailer.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, jobs []core.PointJob, studies int) {
-	if s.draining.Load() {
-		// Losing the race against Close must be loud: a 503 before any
-		// stream byte, never a silently dropped batch.
-		http.Error(w, "studysvc: server draining", http.StatusServiceUnavailable)
-		return
-	}
-	ctx := r.Context()
-	start := time.Now()
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Encode(Header{Points: len(jobs), Studies: studies}); err != nil {
-		return
-	}
-	flush()
-
-	// The result channel is buffered to the whole batch so pool workers and
-	// the enqueue goroutine can always deliver without blocking, even after
-	// this handler has given up on the client.
-	results := make(chan StreamPoint, len(jobs))
-	var retried atomic.Int64
-	go s.enqueue(ctx, jobs, nil, &retried, results, false)
-
-	var t Trailer
-	t.CacheEnabled = s.cache != nil
-	for seen := 0; seen < len(jobs); seen++ {
-		select {
-		case sp := <-results:
-			// Delivery order is the sequence axis even on an ephemeral
-			// stream; only durable batches can actually be resumed from it.
-			sp.Seq = seen + 1
-			if sp.CacheHit {
-				t.CacheHits++
-			} else {
-				t.CacheMisses++
-			}
-			if sp.Coalesced {
-				t.Coalesced++
-			}
-			if sp.Err != "" {
-				t.Errors++
-			}
-			if err := enc.Encode(sp); err != nil {
-				return // client gone; ctx cancellation reaps queued jobs
-			}
-			flush()
-		case <-ctx.Done():
-			return
-		case <-s.quit:
-			return
-		}
-	}
-	t.Done = true
-	t.Points = len(jobs)
-	t.Retries = int(retried.Load())
-	t.ElapsedNS = int64(time.Since(start))
-	if err := enc.Encode(t); err != nil {
-		return
-	}
-	flush()
+	b := s.newBatch(r.Context(), "", req.Jobs, len(studies))
+	go s.enqueue(b, nil)
+	s.serveBatch(w, r, b, 0)
 }
 
 // handleHealth implements PathHealth.
