@@ -185,8 +185,8 @@ func runStats(args []string, out io.Writer) error {
 		fmt.Fprintln(out, st.Cache.String())
 	}
 	if d := st.Durability; d != nil {
-		fmt.Fprintf(out, "durability: %d journaled batch(es), %d live; recovered %d batch(es) (%d points replayed, %d re-enqueued); %d resumed stream(s)\n",
-			d.JournaledBatches, d.LiveBatches, d.RecoveredBatches, d.ReplayedPoints, d.ReenqueuedPoints, d.ResumedStreams)
+		fmt.Fprintf(out, "durability: %d journaled batch(es), %d live; recovered %d batch(es) (%d points replayed, %d re-enqueued); %d resumed stream(s); %d journal fsync(s)\n",
+			d.JournaledBatches, d.LiveBatches, d.RecoveredBatches, d.ReplayedPoints, d.ReenqueuedPoints, d.ResumedStreams, d.JournalSyncs)
 		if d.JournalErrors > 0 {
 			fmt.Fprintf(out, "durability: %d journal error(s)\n", d.JournalErrors)
 		}

@@ -1,10 +1,10 @@
 // Package jobstore is daosd's persistent submission journal: a
 // checksummed append-only record log that makes study batches survive a
 // coordinator crash. The server appends one batch record when a
-// submission arrives and one point record as each result lands; on
-// restart, Open replays the journal and hands back every batch that has
-// not been fully delivered, with its completed points — the server
-// re-enqueues only the missing ones and serves the rest without
+// submission arrives and point records as results land, one group per
+// commit; on restart, Open replays the journal and hands back every batch
+// that has not been fully delivered, with its completed points — the
+// server re-enqueues only the missing ones and serves the rest without
 // re-simulation.
 //
 // # On-disk format
@@ -26,15 +26,20 @@
 // Records that decode but reference an unknown batch (a point or done
 // whose batch record fell past an earlier tear) are skipped.
 //
-// # Rotation and compaction
+// # Appends, retirement and compaction
 //
-// Appends go to the newest segment with an fsync per record: once
-// AppendBatch or AppendPoint returns, that record survives kill -9.
-// Open compacts the live state (batches not yet done) into a fresh
-// segment via temp+rename and deletes the older ones, so completed
-// batches do not accumulate; BatchDone rotates to an empty segment
-// whenever it retires the last live batch, bounding the journal on a
-// quiet server to the magic header.
+// Every append is one write and one fsync, however many records it
+// carries: once AppendBatch or AppendPoint returns, all of its records
+// survive kill -9, and a crash during it tears at most that write, whose
+// whole frames before the tear replay. After a failed write or fsync the
+// store refuses every later append with that first error, because a
+// record behind a torn frame would never replay and the kernel may have
+// dropped the unsynced data. BatchDone appends a done record while other
+// batches are live; retiring the last live batch instead truncates the
+// segment back to its magic header, so a quiet server's journal is just
+// that header. Open compacts the live state (batches not yet done) into
+// a fresh segment via temp+rename and deletes the older ones, so a
+// journal left behind by a crash does not accumulate retired history.
 package jobstore
 
 import (
@@ -47,6 +52,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"daosim/internal/core"
 )
@@ -109,17 +115,26 @@ type doneRecord struct {
 // ErrClosed is returned by appends after Close.
 var ErrClosed = errors.New("jobstore: store is closed")
 
+// maxKeptBuf bounds the frame buffer a Store keeps between appends: one
+// outsized batch record must not pin its size for the process's life.
+const maxKeptBuf = 1 << 20
+
 // Store is an open journal directory. All methods are safe for
 // concurrent use.
 type Store struct {
 	dir       string
 	recovered []Batch
+	syncs     atomic.Int64
 
 	mu     sync.Mutex
 	f      *os.File
-	seg    int
 	live   map[string]bool
 	closed bool
+	// err is the first failed write, truncate or fsync; every append
+	// after it returns err and writes nothing.
+	err error
+	// buf holds the frames of one append and is reused by the next.
+	buf []byte
 }
 
 // Open replays the journal under dir (creating it if needed), compacts
@@ -213,6 +228,10 @@ func (s *Store) Recovered() []Batch { return s.recovered }
 // Dir returns the journal directory.
 func (s *Store) Dir() string { return s.dir }
 
+// Syncs returns how many fsyncs the store has issued: appends,
+// retirements, compaction and its directory sync, and Close.
+func (s *Store) Syncs() int64 { return s.syncs.Load() }
+
 // AppendBatch journals a new submission. It must be called before any
 // AppendPoint for the same id.
 func (s *Store) AppendBatch(id string, cfgs []core.Config) error {
@@ -222,47 +241,53 @@ func (s *Store) AppendBatch(id string, cfgs []core.Config) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(recBatch, payload); err != nil {
+	if err := s.appendLocked(appendFrame(s.buf[:0], recBatch, payload)); err != nil {
 		return err
 	}
 	s.live[id] = true
 	return nil
 }
 
-// AppendPoint journals one completed point of batch id.
-func (s *Store) AppendPoint(id string, pr PointRecord) error {
-	payload, err := json.Marshal(pointRecord{ID: id, PointRecord: pr})
-	if err != nil {
-		return fmt.Errorf("jobstore: encode point: %w", err)
-	}
+// AppendPoint journals completed points of batch id with one write and
+// one fsync: once it returns, every one of prs survives a crash. A record
+// that fails to encode fails the call before anything is written.
+func (s *Store) AppendPoint(id string, prs ...PointRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(recPoint, payload)
+	buf := s.buf[:0]
+	for _, pr := range prs {
+		payload, err := json.Marshal(pointRecord{ID: id, PointRecord: pr})
+		if err != nil {
+			return fmt.Errorf("jobstore: encode point: %w", err)
+		}
+		buf = appendFrame(buf, recPoint, payload)
+	}
+	return s.appendLocked(buf)
 }
 
-// BatchDone retires batch id: after the done record is durable the
-// batch will not be recovered again. When the last live batch retires,
-// the journal rotates to a fresh empty segment so retired history does
-// not accumulate.
+// BatchDone retires batch id: once it returns, the batch will not be
+// recovered again. While other batches are live that takes a done
+// record; retiring the last live batch instead truncates the segment
+// back to its magic header, since every record in it belongs to a
+// retired batch.
 func (s *Store) BatchDone(id string) error {
-	payload, err := json.Marshal(doneRecord{ID: id})
-	if err != nil {
-		return fmt.Errorf("jobstore: encode done: %w", err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(recDone, payload); err != nil {
+	if err := s.usableLocked(); err != nil {
 		return err
 	}
 	delete(s.live, id)
 	if len(s.live) == 0 {
-		// Best-effort: the done record above is already durable, so a
-		// failed rotation only costs replay work on the next Open.
-		if err := s.rotateLocked(s.seg+1, nil); err == nil {
-			os.Remove(segPath(s.dir, s.seg-1))
+		if err := s.f.Truncate(int64(len(magic))); err != nil {
+			return s.failLocked(fmt.Errorf("jobstore: truncate: %w", err))
 		}
+		return s.syncLocked()
 	}
-	return nil
+	payload, err := json.Marshal(doneRecord{ID: id})
+	if err != nil {
+		return fmt.Errorf("jobstore: encode done: %w", err)
+	}
+	return s.appendLocked(appendFrame(s.buf[:0], recDone, payload))
 }
 
 // Close syncs and closes the journal. Appends after Close return
@@ -277,7 +302,7 @@ func (s *Store) Close() error {
 	if s.f == nil {
 		return nil
 	}
-	err := s.f.Sync()
+	err := s.fsync(s.f)
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
@@ -285,48 +310,79 @@ func (s *Store) Close() error {
 	return err
 }
 
-// frame renders one record of type t: the u32 payload length, the type
-// byte, the payload, and a CRC-32 over type byte and payload.
-func frame(t recordType, payload []byte) []byte {
-	rec := make([]byte, frameOverhead+len(payload))
-	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
-	rec[4] = byte(t)
-	copy(rec[5:], payload)
-	binary.LittleEndian.PutUint32(rec[5+len(payload):], crc32.ChecksumIEEE(rec[4:5+len(payload)]))
-	return rec
+// appendFrame appends one record of type t to buf: the u32 payload
+// length, the type byte, the payload, and a CRC-32 over type byte and
+// payload.
+func appendFrame(buf []byte, t recordType, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	body := len(buf)
+	buf = append(append(buf, byte(t)), payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
 }
 
-// appendLocked frames and appends one record, fsyncing before return.
-// The frame goes down in a single write so a crash tears at most the
-// final record — exactly what replay recovers from.
-func (s *Store) appendLocked(t recordType, payload []byte) error {
-	if s.closed {
-		return ErrClosed
+// appendLocked writes buf, whole frames, with one write and one fsync, so
+// a crash tears at most this write and replay keeps every whole frame
+// before the tear. buf is kept for the next append.
+func (s *Store) appendLocked(buf []byte) error {
+	if cap(buf) <= maxKeptBuf {
+		s.buf = buf[:0]
 	}
-	if _, err := s.f.Write(frame(t, payload)); err != nil {
-		return fmt.Errorf("jobstore: append: %w", err)
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("jobstore: sync: %w", err)
+	if _, err := s.f.Write(buf); err != nil {
+		return s.failLocked(fmt.Errorf("jobstore: append: %w", err))
+	}
+	return s.syncLocked()
+}
+
+// syncLocked fsyncs the append segment.
+func (s *Store) syncLocked() error {
+	if err := s.fsync(s.f); err != nil {
+		return s.failLocked(fmt.Errorf("jobstore: sync: %w", err))
 	}
 	return nil
 }
 
+// usableLocked reports why the store takes no more appends, if it does
+// not: it is closed, or an earlier write failed.
+func (s *Store) usableLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	return s.err
+}
+
+// failLocked makes err the store's sticky error (see the package comment)
+// and returns it.
+func (s *Store) failLocked(err error) error {
+	s.err = err
+	return err
+}
+
+// fsync syncs f and counts it.
+func (s *Store) fsync(f *os.File) error {
+	s.syncs.Add(1)
+	return f.Sync()
+}
+
 // rotateLocked writes batches (the live set) into segment n via
-// temp+rename, syncs the directory, and switches appends to it. The old
-// append handle is closed; callers delete superseded segment files.
+// temp+rename, syncs the directory, and opens segment n for appends.
+// Callers delete superseded segment files.
 func (s *Store) rotateLocked(n int, batches []Batch) error {
 	tmp, err := os.CreateTemp(s.dir, "journal-*.tmp")
 	if err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
 	defer os.Remove(tmp.Name())
+	var buf []byte
 	write := func(t recordType, v any) error {
 		payload, err := json.Marshal(v)
 		if err != nil {
 			return err
 		}
-		_, err = tmp.Write(frame(t, payload))
+		buf = appendFrame(buf[:0], t, payload)
+		_, err = tmp.Write(buf)
 		return err
 	}
 	err = func() error {
@@ -343,7 +399,7 @@ func (s *Store) rotateLocked(n int, batches []Batch) error {
 				}
 			}
 		}
-		return tmp.Sync()
+		return s.fsync(tmp)
 	}()
 	if err != nil {
 		tmp.Close()
@@ -356,16 +412,12 @@ func (s *Store) rotateLocked(n int, batches []Batch) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("jobstore: compact: %w", err)
 	}
-	syncDir(s.dir)
+	s.syncDir()
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
-	if s.f != nil {
-		s.f.Close()
-	}
 	s.f = f
-	s.seg = n
 	return nil
 }
 
@@ -431,9 +483,9 @@ func segPath(dir string, n int) string {
 
 // syncDir makes a rename durable on filesystems that need the directory
 // flushed; failure is not fatal (the segment itself is synced).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
+func (s *Store) syncDir() {
+	if d, err := os.Open(s.dir); err == nil {
+		s.fsync(d)
 		d.Close()
 	}
 }

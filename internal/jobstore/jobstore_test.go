@@ -109,8 +109,17 @@ func TestBatchDoneRetires(t *testing.T) {
 	if err := s.AppendPoint("b1", testPoint(0)); err != nil {
 		t.Fatal(err)
 	}
+	syncs := s.Syncs()
 	if err := s.BatchDone("b1"); err != nil {
 		t.Fatal(err)
+	}
+	if n := s.Syncs() - syncs; n != 1 {
+		t.Fatalf("retiring the last live batch cost %d fsyncs, want 1", n)
+	}
+	// Retiring the last live batch truncates the segment: the journal is
+	// back to just its magic header, before and after a reopen.
+	if _, buf := journalBytes(t, dir); string(buf) != magic {
+		t.Fatalf("journal after BatchDone is %d bytes, want %d (bare magic)", len(buf), len(magic))
 	}
 	s.Close()
 
@@ -119,8 +128,6 @@ func TestBatchDoneRetires(t *testing.T) {
 	if n := len(s2.Recovered()); n != 0 {
 		t.Fatalf("recovered %d batches after BatchDone, want 0", n)
 	}
-	// Retiring the last live batch rotates to a fresh segment: the
-	// journal is back to just its magic header.
 	_, buf := journalBytes(t, dir)
 	if len(buf) != len(magic) {
 		t.Fatalf("idle journal is %d bytes, want %d (bare magic)", len(buf), len(magic))
@@ -153,13 +160,22 @@ func TestOpenCompactsRetiredHistory(t *testing.T) {
 
 // TestTruncatedTailRecoversPrefix is the crash-mid-append table: the
 // journal cut at every byte boundary must recover exactly the records
-// whose frames fully landed, and never error.
+// whose frames fully landed, and never error. The last append carries
+// three records in one write, so cuts inside it must keep its whole
+// frames before the cut.
 func TestTruncatedTailRecoversPrefix(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	s.AppendBatch("b1", testConfigs())
 	for i := 0; i < 3; i++ {
 		s.AppendPoint("b1", testPoint(i))
+	}
+	syncs := s.Syncs()
+	if err := s.AppendPoint("b1", testPoint(3), testPoint(4), testPoint(5)); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Syncs() - syncs; n != 1 {
+		t.Fatalf("a three-record append cost %d fsyncs, want 1", n)
 	}
 	s.Close()
 	path, full := journalBytes(t, dir)
@@ -173,8 +189,8 @@ func TestTruncatedTailRecoversPrefix(t *testing.T) {
 		off += frameOverhead + n
 		boundaries = append(boundaries, off)
 	}
-	if len(boundaries) != 5 { // magic + 4 records
-		t.Fatalf("journal has %d frames, want 4", len(boundaries)-1)
+	if len(boundaries) != 8 { // magic + 7 records
+		t.Fatalf("journal has %d frames, want 7", len(boundaries)-1)
 	}
 	recordsBefore := func(cut int) int {
 		n := 0
@@ -304,6 +320,51 @@ func TestOrphanRecordsSkipped(t *testing.T) {
 	defer s.Close()
 	if n := len(s.Recovered()); n != 0 {
 		t.Fatalf("recovered %d batches from orphan records", n)
+	}
+}
+
+// TestFailedAppendIsSticky: once a write fails, every later append
+// returns that first error and writes nothing, even after the disk
+// recovers: a record behind a torn frame would never replay. The store
+// still recovers exactly what was written before the failure.
+func TestFailedAppendIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	if err := s.AppendBatch("b1", testConfigs()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendPoint("b1", testPoint(0)); err != nil {
+		t.Fatal(err)
+	}
+	path, _ := journalBytes(t, dir)
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	good := s.f
+	s.f = ro
+	first := s.AppendPoint("b1", testPoint(1))
+	s.f = good
+	if first == nil {
+		t.Fatal("an append through a read-only handle succeeded")
+	}
+	if err := s.AppendPoint("b1", testPoint(2)); err != first {
+		t.Fatalf("AppendPoint after a failed write = %v, want the first error %v", err, first)
+	}
+	if err := s.AppendBatch("b2", testConfigs()); err != first {
+		t.Fatalf("AppendBatch after a failed write = %v, want the first error %v", err, first)
+	}
+	if err := s.BatchDone("b1"); err != first {
+		t.Fatalf("BatchDone after a failed write = %v, want the first error %v", err, first)
+	}
+	s.Close()
+
+	s2 := openT(t, dir)
+	defer s2.Close()
+	bs := s2.Recovered()
+	if len(bs) != 1 || bs[0].ID != "b1" || len(bs[0].Points) != 1 || bs[0].Points[0].Pos != 0 {
+		t.Fatalf("recovered %+v, want batch b1 with exactly its first point", bs)
 	}
 }
 

@@ -31,21 +31,23 @@ type batchState struct {
 	start   time.Time
 	retried atomic.Int64
 
-	// order serializes deliveries from the duplicate check through the
-	// journal append to the log append, so journal order is delivery
-	// order — the order recovery re-sequences from. done marks positions
-	// already delivered (or recovered).
-	order sync.Mutex
-	done  []bool
-
-	// mu guards the log, the ledger, and the attachment wakers, and is
-	// held only to append. The log is allocated at len(jobs) and never
-	// reallocates, so entries below len(log) never change and attachments
-	// read them without copying; log[i].Seq == i+1.
-	mu     sync.Mutex
-	log    []StreamPoint
-	ledger Trailer // the running counters; Done once every job has landed
-	wakers map[chan struct{}]struct{}
+	// mu guards everything below and is never held across a journal
+	// append. The log is allocated at len(jobs) and never reallocates, so
+	// entries below len(log) never change and attachments read them
+	// without copying; log[i].Seq == i+1.
+	mu  sync.Mutex
+	log []StreamPoint
+	// staged counts a registered batch's results that landed but are not
+	// journaled yet. They wait in the log's spare capacity, in
+	// log[len(log):len(log)+staged], each with its job position in Seq
+	// until commit publishes it; attachments never read past len(log).
+	staged int
+	// committing is set while a commit journals and publishes, so one
+	// runs per batch at a time.
+	committing bool
+	done       []bool  // positions delivered, staged or recovered
+	ledger     Trailer // the running counters; Done once every job has landed
+	wakers     map[chan struct{}]struct{}
 }
 
 // newBatch creates the state for jobs running under ctx. A non-empty id
@@ -122,40 +124,75 @@ func (b *batchState) sealLocked() {
 	b.ledger.ElapsedNS = int64(time.Since(b.start))
 }
 
-// deliver records the result for position pos of batch b. A result that
-// lands after b's context ended is the cancellation echoing back: nobody
-// streams it, and the journal must not record it (a restarted server
-// re-runs the point instead). Duplicates are dropped too, which keeps the
-// log within its allocation. A registered batch journals the result
-// before it becomes visible, so a point a client saw is always a point a
-// restarted server still has; the fsync happens outside b.mu, so
-// attachments keep streaming while it runs.
-func (s *Server) deliver(b *batchState, pos int, sp StreamPoint) {
-	b.order.Lock()
-	defer b.order.Unlock()
+// deliver records the result for position pos of b. A result that lands
+// after b's context ended is the cancellation echoing back: nobody streams
+// it, and the journal must not record it (a restarted server re-runs the
+// point instead). Duplicates are dropped too, which keeps the log within
+// its allocation. An unregistered batch publishes the result at once. A
+// registered batch stages it for commit, which journals it before it
+// becomes visible, so a point a client saw is always a point a restarted
+// server still has.
+func (b *batchState) deliver(pos int, sp StreamPoint) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.ctx.Err() != nil || b.done[pos] {
 		return
 	}
 	b.done[pos] = true
-	if b.id != "" {
-		if err := s.store.AppendPoint(b.id, jobstore.PointRecord{
-			Pos:       pos,
-			Point:     sp.toPoint(),
-			CacheHit:  sp.CacheHit,
-			Coalesced: sp.Coalesced,
-		}); err != nil {
+	if b.id == "" {
+		b.pushLocked(sp)
+		b.wakeLocked()
+		return
+	}
+	sp.Seq = pos
+	b.log[:cap(b.log)][len(b.log)+b.staged] = sp
+	b.staged++
+}
+
+// commit journals everything staged in b with one AppendPoint, then
+// publishes it to the log and wakes the attachments, and repeats until
+// nothing is staged. A call that finds a commit running returns at once:
+// the running one picks up what was staged meanwhile, so journal order
+// stays log order. Once b's context has ended, commit journals and
+// publishes nothing more. Callers commit after their deliveries, and
+// before anything that may block for long.
+func (s *Server) commit(b *batchState) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.committing {
+		return
+	}
+	b.committing = true
+	for b.staged > 0 && b.ctx.Err() == nil {
+		group := b.log[len(b.log) : len(b.log)+b.staged]
+		b.mu.Unlock()
+		recs := make([]jobstore.PointRecord, len(group))
+		for i, sp := range group {
+			recs[i] = jobstore.PointRecord{Pos: sp.Seq, Point: sp.toPoint(), CacheHit: sp.CacheHit, Coalesced: sp.Coalesced}
+		}
+		err := s.store.AppendPoint(b.id, recs...)
+		b.mu.Lock()
+		if err != nil {
+			// The points still stream; they just will not survive a crash.
 			s.journalErrs.Add(1)
 		}
+		for _, sp := range group {
+			b.pushLocked(sp)
+		}
+		b.staged -= len(group)
+		b.wakeLocked()
 	}
-	b.mu.Lock()
-	b.pushLocked(sp)
+	b.committing = false
+}
+
+// wakeLocked tells every attachment the log grew.
+func (b *batchState) wakeLocked() {
 	for wake := range b.wakers {
 		select {
 		case wake <- struct{}{}:
 		default: // already pending
 		}
 	}
-	b.mu.Unlock()
 }
 
 // serveBatch streams b's log from offset from (a seq: the client has

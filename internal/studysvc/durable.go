@@ -21,17 +21,21 @@ import (
 // A durable batch's lifecycle: handleSubmit opens a registered batch,
 // which journals the submission and schedules its jobs under the
 // server's lifetime context (not the request's — the client may come
-// and go). deliver journals each result before appending it to the
-// delivery log, so journal order is delivery order; any number of
-// stream attachments (the original POST, or GET resume legs) serve the
-// log from an offset and then follow live deliveries. When the trailer
-// has been delivered to some client, the batch retires: a done record
-// hits the journal and the state is dropped. Close cancels the lifetime
-// context before anything else, so a shutdown journals nothing that
-// lands afterwards — in particular not the cancellation placeholders of
-// the points it interrupted. A batch interrupted by a crash or shutdown
-// is rebuilt from the journal on startup: completed points pre-populate
-// the delivery log, the rest re-enqueue.
+// and go). deliver stages each result past the end of the delivery log,
+// and commit journals everything staged with one append and one fsync
+// before it publishes those results to the log, so journal order is
+// delivery order. enqueue gathers a batch's cache hits into one commit;
+// a simulated point commits as it lands. Any number of stream
+// attachments (the original POST, or GET resume legs) serve the log
+// from an offset and then follow live deliveries. When the trailer has
+// been delivered to some client, the batch retires: the journal retires
+// it (truncating itself to its header when no other batch is live) and
+// the state is dropped. Close cancels the lifetime context before
+// anything else, so a shutdown journals nothing that lands afterwards —
+// in particular not the cancellation placeholders of the points it
+// interrupted. A batch interrupted by a crash or shutdown is rebuilt
+// from the journal on startup: completed points pre-populate the
+// delivery log, the rest re-enqueue.
 
 // DurabilityStats is the /v1/statsz durability block of a daosd running
 // with a job store.
@@ -51,8 +55,12 @@ type DurabilityStats struct {
 	ReenqueuedPoints int `json:"reenqueued_points"`
 	// ResumedStreams counts GET resume attachments served.
 	ResumedStreams int64 `json:"resumed_streams"`
-	// JournalErrors counts appends the store refused (disk trouble);
-	// affected points lose durability, not correctness.
+	// JournalSyncs counts the fsyncs the job store has issued since it
+	// was opened (jobstore.Store.Syncs).
+	JournalSyncs int64 `json:"journal_syncs"`
+	// JournalErrors counts appends and retirements the store refused
+	// (disk trouble; after its first failed write or fsync the store
+	// refuses them all). Affected points lose durability, not correctness.
 	JournalErrors int64 `json:"journal_errors,omitempty"`
 }
 
@@ -73,10 +81,12 @@ func (s *Server) lookupBatch(id string) *batchState {
 	return s.batches[id]
 }
 
-// retireBatch drops a fully-delivered registered batch: the journal gets
-// its done record and the state leaves the live table. It is a no-op for
-// an unregistered batch (never in the table) and for every attachment
-// after the first.
+// retireBatch drops a fully-delivered registered batch: the journal
+// retires it and the state leaves the live table. It is a no-op for an
+// unregistered batch (never in the table) and for every attachment after
+// the first. The journal retires the batch under batchMu, before the id
+// leaves the table, so a re-POST of the same id journals its fresh batch
+// record only afterwards, where no truncation can reach it.
 func (s *Server) retireBatch(b *batchState) {
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
@@ -155,6 +165,7 @@ func (s *Server) durabilityStats() *DurabilityStats {
 	d.JournaledBatches = s.journaled.Load()
 	d.LiveBatches = live
 	d.ResumedStreams = s.resumed.Load()
+	d.JournalSyncs = s.store.Syncs()
 	d.JournalErrors = s.journalErrs.Load()
 	return &d
 }

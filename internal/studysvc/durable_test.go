@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"daosim/internal/cache"
 	"daosim/internal/core"
 	"daosim/internal/ior"
 	"daosim/internal/jobstore"
@@ -126,6 +127,56 @@ func TestDurableSubmitRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalSyncsPerBatch pins the journal's fsync cost on a one-slot
+// server with one client. A cold batch costs its batch record, one commit
+// per miss, and its retirement: points + 2. A warm rerun journals all of
+// its cache hits in one commit: exactly 3.
+func TestJournalSyncsPerBatch(t *testing.T) {
+	c, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := openStore(t, t.TempDir())
+	defer store.Close()
+	_, ts := startServer(t, Config{
+		Workers:   1,
+		NewWorker: func() Worker { return stubWorker{} },
+		Cache:     c,
+		Store:     store,
+	})
+	cfgs := durableConfigs()
+	_, jobs := core.Decompose(cfgs)
+	client := NewClient(ts.URL)
+	// retiredSyncs waits for the last batch to retire, which happens just
+	// after its trailer is flushed, and returns the fsyncs so far.
+	retiredSyncs := func() int64 {
+		var d *DurabilityStats
+		waitFor(t, "the batch to retire", func() bool {
+			st, err := client.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = st.Durability
+			return d.LiveBatches == 0
+		})
+		return d.JournalSyncs
+	}
+	last := retiredSyncs()
+	for _, pass := range []struct {
+		name string
+		want int64
+	}{{"cold", int64(len(jobs)) + 2}, {"warm", 3}} {
+		if _, err := client.Submit(context.Background(), cfgs); err != nil {
+			t.Fatalf("%s Submit: %v", pass.name, err)
+		}
+		syncs := retiredSyncs()
+		if got := syncs - last; got != pass.want {
+			t.Errorf("%s batch of %d points cost %d journal fsyncs, want %d", pass.name, len(jobs), got, pass.want)
+		}
+		last = syncs
+	}
+}
+
 // TestEphemeralStreamCarriesSeq: the storeless path assigns the same
 // dense delivery sequence (resume is impossible, but the axis is there).
 func TestEphemeralStreamCarriesSeq(t *testing.T) {
@@ -156,8 +207,7 @@ func TestKillRestartResume(t *testing.T) {
 	cfgs := durableConfigs()
 	_, jobs := core.Decompose(cfgs)
 	total := len(jobs)
-	completeBeforeKill := total / 3
-	if completeBeforeKill == 0 {
+	if total/3 == 0 {
 		t.Fatalf("grid too small: %d points", total)
 	}
 
@@ -169,129 +219,188 @@ func TestKillRestartResume(t *testing.T) {
 	}
 	want := render(refStudies)
 
-	dir := t.TempDir()
-	store1 := openStore(t, dir)
+	for _, tc := range []struct {
+		name string
+		// hits are the positions pre-filled in both servers' caches; with
+		// none, the servers run without a cache.
+		hits []int
+		// tokens is how many points server 1 may simulate, before how
+		// many points the client holds when the kill lands, and commits
+		// how many journal appends carried those points.
+		tokens, before, commits int
+	}{
+		// Every point is a miss and commits on its own.
+		{name: "cold", tokens: total / 3, before: total / 3, commits: total / 3},
+		// Hits 0 and 1 commit together before miss 2 waits for the one
+		// slot, miss 2 commits on its own, and hit 4 commits before miss 5
+		// waits. Misses 3 (gated in the slot) and 5 (queued) never land.
+		{name: "half warm", hits: []int{0, 1, 4}, tokens: 1, before: 4, commits: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hit := make([]bool, total)
+			for _, pos := range tc.hits {
+				hit[pos] = true
+			}
+			// newCache returns nil without hits, and otherwise a memory
+			// cache holding the stub's results for them.
+			newCache := func() *cache.Cache {
+				if tc.hits == nil {
+					return nil
+				}
+				c, err := cache.New(cache.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pos := range tc.hits {
+					pt, _ := stubWorker{}.RunPoint(context.Background(), jobs[pos])
+					c.Put(jobs[pos].Key(), pt.CacheEntry())
+				}
+				return c
+			}
 
-	var runs1, runs2 atomic.Int64
-	gate1 := make(chan struct{}, total)
-	var gate1Once sync.Once
-	releaseAll1 := func() { gate1Once.Do(func() { close(gate1) }) }
+			dir := t.TempDir()
+			store1 := openStore(t, dir)
+			opened := store1.Syncs()
 
-	srv1 := New(Config{
-		Workers:   1, // single slot: deterministic completion count at kill time
-		NewWorker: func() Worker { return gatedWorker{gate: gate1, runs: &runs1} },
-		Store:     store1,
-	})
-	// Close drains the pool, so the gate must open before it runs (defers
-	// are LIFO: releaseAll1 fires first).
-	defer srv1.Close()
-	defer releaseAll1()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	hs1 := &http.Server{Handler: srv1}
-	go hs1.Serve(ln)
+			var runs1, runs2 atomic.Int64
+			gate1 := make(chan struct{}, total)
+			var gate1Once sync.Once
+			releaseAll1 := func() { gate1Once.Do(func() { close(gate1) }) }
 
-	client := NewClient(addr)
-	client.RetryBase = 10 * time.Millisecond
-	client.RetryMax = 100 * time.Millisecond
-	client.RetryAttempts = 50 // ride out the restart gap generously
-	var received atomic.Int64
-	var retries atomic.Int64
-	client.OnPoint = func(StreamPoint) { received.Add(1) }
-	client.OnRetry = func(int, time.Duration, error) { retries.Add(1) }
+			srv1 := New(Config{
+				Workers:   1, // single slot: deterministic completion count at kill time
+				NewWorker: func() Worker { return gatedWorker{gate: gate1, runs: &runs1} },
+				Cache:     newCache(),
+				Store:     store1,
+			})
+			// Close drains the pool, so the gate must open before it runs
+			// (defers are LIFO: releaseAll1 fires first).
+			defer srv1.Close()
+			defer releaseAll1()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			hs1 := &http.Server{Handler: srv1}
+			go hs1.Serve(ln)
 
-	type result struct {
-		studies []*core.Study
-		err     error
-	}
-	done := make(chan result, 1)
-	go func() {
-		studies, err := client.Submit(context.Background(), cfgs)
-		done <- result{studies, err}
-	}()
+			client := NewClient(addr)
+			client.RetryBase = 10 * time.Millisecond
+			client.RetryMax = 100 * time.Millisecond
+			client.RetryAttempts = 50 // ride out the restart gap generously
+			var received atomic.Int64
+			var retries atomic.Int64
+			client.OnPoint = func(StreamPoint) { received.Add(1) }
+			client.OnRetry = func(int, time.Duration, error) { retries.Add(1) }
 
-	// Let exactly completeBeforeKill points execute and reach the client.
-	for i := 0; i < completeBeforeKill; i++ {
-		gate1 <- struct{}{}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for received.Load() < int64(completeBeforeKill) {
-		if time.Now().After(deadline) {
-			t.Fatalf("client received %d/%d points before kill", received.Load(), completeBeforeKill)
-		}
-		time.Sleep(time.Millisecond)
-	}
+			type result struct {
+				studies []*core.Study
+				err     error
+			}
+			done := make(chan result, 1)
+			go func() {
+				studies, err := client.Submit(context.Background(), cfgs)
+				done <- result{studies, err}
+			}()
 
-	// "kill -9": stop the scheduler with no drain, sever every client
-	// connection, free the port. Nothing is journaled past this instant.
-	srv1.kill()
-	hs1.Close()
-	store1.Close()
+			// Let exactly tc.tokens points execute, and tc.before points
+			// reach the client.
+			for i := 0; i < tc.tokens; i++ {
+				gate1 <- struct{}{}
+			}
+			waitFor(t, fmt.Sprintf("%d points at the client before the kill", tc.before), func() bool {
+				return received.Load() >= int64(tc.before)
+			})
+			if got := store1.Syncs() - opened; got != int64(1+tc.commits) {
+				t.Fatalf("journal fsyncs before the kill = %d, want %d (batch record + %d commits)", got, 1+tc.commits, tc.commits)
+			}
 
-	// Restart on the same journal and the same address, ungated.
-	store2 := openStore(t, dir)
-	defer store2.Close()
-	if got := len(store2.Recovered()); got != 1 {
-		t.Fatalf("journal recovered %d batches, want 1", got)
-	}
-	if got := len(store2.Recovered()[0].Points); got != completeBeforeKill {
-		t.Fatalf("journal recovered %d completed points, want %d", got, completeBeforeKill)
-	}
-	gate2 := make(chan struct{})
-	close(gate2)
-	srv2 := New(Config{
-		Workers:   2,
-		NewWorker: func() Worker { return gatedWorker{gate: gate2, runs: &runs2} },
-		Store:     store2,
-	})
-	defer srv2.Close()
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	hs2 := &http.Server{Handler: srv2}
-	go hs2.Serve(ln2)
-	defer hs2.Close()
+			// "kill -9": stop the scheduler with no drain, sever every client
+			// connection, free the port. Nothing is journaled past this
+			// instant.
+			srv1.kill()
+			hs1.Close()
+			store1.Close()
 
-	rb, rp, re := srv2.Recovery()
-	if rb != 1 || rp != completeBeforeKill || re != total-completeBeforeKill {
-		t.Fatalf("Recovery() = (%d,%d,%d), want (1,%d,%d)", rb, rp, re, completeBeforeKill, total-completeBeforeKill)
-	}
+			// Restart on the same journal and the same address, ungated.
+			store2 := openStore(t, dir)
+			defer store2.Close()
+			if got := len(store2.Recovered()); got != 1 {
+				t.Fatalf("journal recovered %d batches, want 1", got)
+			}
+			journaled := store2.Recovered()[0].Points
+			if len(journaled) != tc.before {
+				t.Fatalf("journal recovered %d completed points, want %d", len(journaled), tc.before)
+			}
+			inJournal := make([]bool, total)
+			for _, pr := range journaled {
+				if pr.CacheHit != hit[pr.Pos] {
+					t.Fatalf("journaled position %d with cache_hit=%v, want %v", pr.Pos, pr.CacheHit, hit[pr.Pos])
+				}
+				inJournal[pr.Pos] = true
+			}
+			lacked := 0 // misses the journal lacks: what server 2 must simulate
+			for pos := range jobs {
+				if !inJournal[pos] && !hit[pos] {
+					lacked++
+				}
+			}
+			gate2 := make(chan struct{})
+			close(gate2)
+			srv2 := New(Config{
+				Workers:   2,
+				NewWorker: func() Worker { return gatedWorker{gate: gate2, runs: &runs2} },
+				Cache:     newCache(),
+				Store:     store2,
+			})
+			defer srv2.Close()
+			ln2, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatalf("rebind %s: %v", addr, err)
+			}
+			hs2 := &http.Server{Handler: srv2}
+			go hs2.Serve(ln2)
+			defer hs2.Close()
 
-	res := <-done
-	if res.err != nil {
-		t.Fatalf("resumed Submit failed: %v", res.err)
-	}
-	if retries.Load() == 0 {
-		t.Fatal("Submit completed without a single reconnect — the kill never reached the client")
-	}
-	verifyStubStudies(t, cfgs, res.studies)
-	if got := render(res.studies); got != want {
-		t.Fatalf("resumed run renders differently from the uninterrupted run:\n got: %q\nwant: %q", got, want)
-	}
+			rb, rp, re := srv2.Recovery()
+			if rb != 1 || rp != tc.before || re != total-tc.before {
+				t.Fatalf("Recovery() = (%d,%d,%d), want (1,%d,%d)", rb, rp, re, tc.before, total-tc.before)
+			}
 
-	// Zero re-simulation: the restarted server executed exactly the
-	// points the journal did not hold. (Server 1 may still count its one
-	// in-flight point when the deferred gate release lets it finish; the
-	// assertion is on server 2.)
-	if got := runs2.Load(); got != int64(total-completeBeforeKill) {
-		t.Fatalf("restarted server simulated %d points, want %d (journaled points must replay, not re-run)",
-			got, total-completeBeforeKill)
-	}
+			res := <-done
+			if res.err != nil {
+				t.Fatalf("resumed Submit failed: %v", res.err)
+			}
+			if retries.Load() == 0 {
+				t.Fatal("Submit completed without a single reconnect — the kill never reached the client")
+			}
+			verifyStubStudies(t, cfgs, res.studies)
+			if got := render(res.studies); got != want {
+				t.Fatalf("resumed run renders differently from the uninterrupted run:\n got: %q\nwant: %q", got, want)
+			}
 
-	// The resume leg is visible in the durability counters.
-	st, err := NewClient(addr).Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Durability == nil || st.Durability.ResumedStreams == 0 {
-		t.Fatalf("durability stats after resume = %+v, want resumed_streams > 0", st.Durability)
-	}
-	if st.Durability.ReplayedPoints != completeBeforeKill {
-		t.Fatalf("replayed_points = %d, want %d", st.Durability.ReplayedPoints, completeBeforeKill)
+			// Zero re-simulation: the restarted server executed exactly the
+			// misses the journal did not hold. (Server 1 may still count its
+			// one in-flight point when the deferred gate release lets it
+			// finish; the assertion is on server 2.)
+			if got := runs2.Load(); got != int64(lacked) {
+				t.Fatalf("restarted server simulated %d points, want %d (journaled points must replay, not re-run)",
+					got, lacked)
+			}
+
+			// The resume leg is visible in the durability counters.
+			st, err := NewClient(addr).Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Durability == nil || st.Durability.ResumedStreams == 0 {
+				t.Fatalf("durability stats after resume = %+v, want resumed_streams > 0", st.Durability)
+			}
+			if st.Durability.ReplayedPoints != tc.before {
+				t.Fatalf("replayed_points = %d, want %d", st.Durability.ReplayedPoints, tc.before)
+			}
+		})
 	}
 }
 

@@ -375,6 +375,7 @@ func (s *Server) memberLoop(m *member) {
 				s.cache.Put(t.key, pt.CacheEntry())
 			}
 			s.finish(t, pt, false)
+			s.commit(t.b)
 		default:
 			m.failures.Add(1)
 			s.retry(t, m.name, err)
@@ -398,6 +399,7 @@ func (s *Server) retry(t task, worker string, cause error) {
 		// Abandonment resolves the flight too: the attempts were spent on
 		// behalf of every coalesced waiter, so all of them see the failure.
 		s.finish(t, pt, false)
+		s.commit(t.b)
 		return
 	}
 	s.retries.Add(1)
@@ -434,13 +436,16 @@ func (s *Server) resolve(k cache.Key) []task {
 }
 
 // finish delivers pt to t's batch and replays it to every waiter that
-// coalesced onto t's flight.
+// coalesced onto t's flight, committing each waiter's batch. Committing
+// t's own batch is the caller's call: enqueue gathers a batch's cache
+// hits into one commit.
 func (s *Server) finish(t task, pt core.Point, hit bool) {
-	s.deliver(t.b, t.pos, toWire(t.job(), pt, hit))
+	t.b.deliver(t.pos, toWire(t.job(), pt, hit))
 	for _, w := range s.resolve(t.key) {
 		sp := toWire(w.job(), pt, hit)
 		sp.Coalesced = true
-		s.deliver(w.b, w.pos, sp)
+		w.b.deliver(w.pos, sp)
+		s.commit(w.b)
 	}
 }
 
@@ -467,12 +472,17 @@ func (s *Server) promote(k cache.Key) {
 	}
 	s.flightMu.Unlock()
 	if next != nil {
-		go s.run(*next)
+		go func() {
+			s.run(*next)
+			s.commit(next.b)
+		}()
 	}
 }
 
-// run serves t from the cache or, on a miss, hands it to the pool. It
-// reports false when t's batch or the server ended first.
+// run serves t from the cache or, on a miss, hands it to the pool. A
+// registered batch's hit is left staged for the caller to commit, and
+// everything staged in t's batch is committed before a miss waits for a
+// pool slot. It reports false when t's batch or the server ended first.
 func (s *Server) run(t task) bool {
 	if s.cache != nil {
 		if e, ok := s.cache.Get(t.key); ok {
@@ -480,6 +490,7 @@ func (s *Server) run(t task) bool {
 			return true
 		}
 	}
+	s.commit(t.b)
 	return s.dispatch(t)
 }
 
@@ -504,8 +515,12 @@ func (s *Server) dispatch(t task) bool {
 // concurrent submission's) parks the job as a waiter instead — and the
 // leader holds the flight across its cache lookup, so concurrent
 // lookers-up of one key cost one lookup: for a remote tier, one network
-// exchange, not a stampede. Enqueueing stops when b or the server ends.
+// exchange, not a stampede. A leader that hits resolves its flight right
+// after the lookup, and the hits of a registered batch are journaled
+// together: enqueue commits before each wait for a pool slot and once it
+// is done. Enqueueing stops when b or the server ends.
 func (s *Server) enqueue(b *batchState, skip []bool) {
+	defer s.commit(b)
 	for pos, j := range b.jobs {
 		if skip != nil && skip[pos] {
 			continue
