@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"daosim/internal/core"
 )
 
 // The bench tests exercise the canned experiment wiring at Quick scale so
@@ -33,6 +35,34 @@ func TestFigure1Quick(t *testing.T) {
 	out := Render("Figure 1", st)
 	if !strings.Contains(out, "(a) Read") || !strings.Contains(out, "(b) Write") {
 		t.Fatalf("render missing panels:\n%s", out)
+	}
+}
+
+// TestPaperClaimsFull gates the paper's 8 claims on the Full Figure 1 + 2
+// grids: 16 nodes is where write contention develops, so "SX wins writes
+// at max contention" fails at Quick scale by design.
+func TestPaperClaimsFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Full-scale Figure 1 + 2 grids; covered by the plain (non -short) test job")
+	}
+	o := Options{Scale: Full, Parallelism: 1}
+	easy, err := Figure1(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard, err := Figure2(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	claims := append(easy.CheckEasyClaims(), hard.CheckHardClaims()...)
+	claims = append(claims, core.CheckCrossClaims(easy, hard)...)
+	if len(claims) != 8 {
+		t.Errorf("%d claims checked, want 8:\n%s", len(claims), RenderClaims(claims))
+	}
+	for _, c := range claims {
+		if !c.Pass {
+			t.Errorf("claim %q failed: %s", c.Name, c.Detail)
+		}
 	}
 }
 

@@ -58,7 +58,8 @@ func (a *Array) spans(off, n int64) []chunkSpan {
 	return out
 }
 
-// Write stores data at the byte offset.
+// Write stores data at the byte offset. The store keeps data, not a copy:
+// do not modify it after the call.
 func (a *Array) Write(p *sim.Proc, off int64, data []byte) error {
 	if len(data) == 0 {
 		return nil

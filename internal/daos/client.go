@@ -284,7 +284,8 @@ const (
 // pool map and only the failed writes are reissued (a write replicated
 // across groups may be re-sent to a surviving replica that already holds
 // it, exactly as a real client restarting an update at a new map version
-// would).
+// would). Array extents keep each write's Data: do not modify it after the
+// call.
 func (o *Object) Update(p *sim.Proc, writes []engine.WriteExt) error {
 	c := o.cont.Pool.client
 	remaining := writes

@@ -77,7 +77,7 @@ type FS struct {
 	cont *daos.Container
 	sb   superblock
 	root *daos.Object
-	// Lookups counts directory entry fetch RPz (observability for the
+	// Lookups counts directory entry fetch RPCs (observability for the
 	// metadata-path benchmarks).
 	Lookups int64
 }
@@ -489,7 +489,8 @@ func (f *File) Path() string { return f.path }
 // Class returns the file's object class.
 func (f *File) Class() placement.ClassID { return f.ent.Class }
 
-// WriteAt stores data at the byte offset.
+// WriteAt stores data at the byte offset. The store keeps data, not a
+// copy: do not modify it after the call.
 func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
 	return f.arr.Write(p, off, data)
 }

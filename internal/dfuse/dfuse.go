@@ -156,7 +156,8 @@ func (m *Mount) Open(p *sim.Proc, path string, flags OpenFlags, opts dfs.CreateO
 // Pwrite writes data at the offset, split into FUSE-sized requests. The
 // kernel keeps the requests of one syscall in flight concurrently (async
 // direct I/O through the FUSE device), so segments overlap across daemon
-// threads; the syscall completes when the slowest segment does.
+// threads; the syscall completes when the slowest segment does. The store
+// keeps data, not a copy: do not modify it after the call.
 func (fd *File) Pwrite(p *sim.Proc, off int64, data []byte) (int, error) {
 	m := fd.mount
 	var segErr error

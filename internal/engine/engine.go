@@ -21,6 +21,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"daosim/internal/fabric"
@@ -208,8 +209,10 @@ func (t *target) cont(uuid string, create bool) *vos.Container {
 type WriteExt struct {
 	Dkey, Akey []byte
 	Offset     int64
-	Data       []byte
-	Single     bool
+	// Data is the extent's bytes. An array extent keeps Data itself, not
+	// a copy: do not modify it after the update.
+	Data   []byte
+	Single bool
 }
 
 // ReadExt is one extent (or single value) in a fetch RPC.
@@ -585,17 +588,56 @@ func (e *Engine) handleAggregate(p *sim.Proc, r *AggregateReq) fabric.Response {
 	return fabric.Response{Body: &AggregateResp{Reclaimed: reclaimed}, Size: 64}
 }
 
+// chunkPrefix and chunkDigits give a chunk dkey's canonical form:
+// fmt.Sprintf("chunk.%016x", idx) for a non-negative idx.
+const (
+	chunkPrefix = "chunk."
+	chunkDigits = 16
+	hexDigits   = "0123456789abcdef"
+)
+
 // ChunkDkey encodes a chunk index as the dkey of a striped array object
 // (the DFS file layout: one dkey per chunk).
 func ChunkDkey(idx int64) []byte {
-	return []byte(fmt.Sprintf("chunk.%016x", idx))
+	if idx < 0 {
+		return []byte(fmt.Sprintf(chunkPrefix+"%016x", idx))
+	}
+	dk := make([]byte, len(chunkPrefix)+chunkDigits)
+	copy(dk, chunkPrefix)
+	for i := len(dk) - 1; i >= len(chunkPrefix); i-- {
+		dk[i] = hexDigits[idx&0xf]
+		idx >>= 4
+	}
+	return dk
 }
 
-// DecodeChunkDkey parses a chunk dkey back to its index.
+// DecodeChunkDkey parses a chunk dkey back to its index. It runs for every
+// chunk span, so the canonical form is parsed directly; any other input
+// gets fmt.Sscanf's answer.
 func DecodeChunkDkey(dk []byte) (int64, bool) {
+	if idx, ok := decodeCanonicalChunk(dk); ok {
+		return idx, true
+	}
 	var idx int64
-	if n, err := fmt.Sscanf(string(dk), "chunk.%016x", &idx); n != 1 || err != nil {
+	if n, err := fmt.Sscanf(string(dk), chunkPrefix+"%016x", &idx); n != 1 || err != nil {
 		return 0, false
+	}
+	return idx, true
+}
+
+// decodeCanonicalChunk parses "chunk." followed by exactly 16 lowercase hex
+// digits whose first is 0-7, so the value fits an int64.
+func decodeCanonicalChunk(dk []byte) (int64, bool) {
+	if len(dk) != len(chunkPrefix)+chunkDigits || string(dk[:len(chunkPrefix)]) != chunkPrefix || dk[len(chunkPrefix)] > '7' {
+		return 0, false
+	}
+	var idx int64
+	for _, c := range dk[len(chunkPrefix):] {
+		d := strings.IndexByte(hexDigits, c)
+		if d < 0 {
+			return 0, false
+		}
+		idx = idx<<4 | int64(d)
 	}
 	return idx, true
 }

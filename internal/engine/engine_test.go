@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -274,6 +276,32 @@ func TestChunkDkeyRoundTrip(t *testing.T) {
 	if _, ok := DecodeChunkDkey([]byte("not-a-chunk")); ok {
 		t.Fatal("garbage dkey decoded")
 	}
+}
+
+// FuzzChunkDkeyMatchesFmt pins ChunkDkey and DecodeChunkDkey to the fmt
+// forms they replace on the hot path, for every index and every dkey.
+func FuzzChunkDkeyMatchesFmt(f *testing.F) {
+	for _, idx := range []int64{0, 1, 255, 1 << 40, math.MaxInt64, -1, math.MinInt64} {
+		f.Add(idx, string(ChunkDkey(idx)))
+	}
+	for _, dk := range []string{"", "chunk.", "chunk.8000000000000000", "chunk.000000000000000A",
+		"chunk.00000000000000001", "chunk.+000000000000001", "chunk.0x00000000000001", "chunk.0000000000000001 ", "not-a-chunk"} {
+		f.Add(int64(0), dk)
+	}
+	f.Fuzz(func(t *testing.T, idx int64, dk string) {
+		if got, want := string(ChunkDkey(idx)), fmt.Sprintf("chunk.%016x", idx); got != want {
+			t.Fatalf("ChunkDkey(%d) = %q, want %q", idx, got, want)
+		}
+		var want int64
+		n, err := fmt.Sscanf(dk, "chunk.%016x", &want)
+		wantOK := n == 1 && err == nil
+		if !wantOK {
+			want = 0
+		}
+		if got, ok := DecodeChunkDkey([]byte(dk)); got != want || ok != wantOK {
+			t.Fatalf("DecodeChunkDkey(%q) = %d, %v; fmt gives %d, %v", dk, got, ok, want, wantOK)
+		}
+	})
 }
 
 func TestCountersAndStats(t *testing.T) {

@@ -28,10 +28,11 @@ import (
 	"daosim/internal/sim"
 )
 
-// VFD is the virtual file driver under an HDF5 file. ReadAtInto is the
-// zero-copy read: it fills dst (len(dst) == n) in place, or — with a nil
-// dst — simulates the read with identical timing while materializing
-// nothing.
+// VFD is the virtual file driver under an HDF5 file. WriteAt may keep data
+// itself, so the library never modifies a buffer after writing it.
+// ReadAtInto is the zero-copy read: it fills dst (len(dst) == n) in place,
+// or — with a nil dst — simulates the read with identical timing while
+// materializing nothing.
 type VFD interface {
 	WriteAt(p *sim.Proc, off int64, data []byte) error
 	ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error)
@@ -255,7 +256,8 @@ func decodeHeader(h []byte) *Dataset {
 	return ds
 }
 
-// Write stores data at a byte offset within the dataset.
+// Write stores data at a byte offset within the dataset. The store may keep
+// data itself: do not modify it after the call.
 func (ds *Dataset) Write(p *sim.Proc, off int64, data []byte) error {
 	if !ds.file.writable {
 		return errors.New("hdf5: file not writable")

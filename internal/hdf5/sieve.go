@@ -14,7 +14,11 @@ package hdf5
 // File.SetSieve(0) mirrors that, and the IOR shared-file backend uses it,
 // which is why HDF5 converges with the other interfaces in Figure 2.
 
-import "daosim/internal/sim"
+import (
+	"bytes"
+
+	"daosim/internal/sim"
+)
 
 // sieve is the per-file staging buffer.
 type sieve struct {
@@ -43,7 +47,9 @@ func (f *File) SetSieve(size int64) {
 	f.sieve = &sieve{size: size, start: -1, data: make([]byte, size)}
 }
 
-// flushSieve writes a dirty window back through the VFD.
+// flushSieve writes a dirty window back through the VFD. The store keeps
+// the flushed bytes, and loadSieve and sieveWrite overwrite the staging
+// buffer in place, so staging continues on a copy.
 func (f *File) flushSieve(p *sim.Proc) error {
 	s := f.sieve
 	if s == nil || !s.dirty {
@@ -52,6 +58,7 @@ func (f *File) flushSieve(p *sim.Proc) error {
 	if err := f.vfd.WriteAt(p, s.start, s.data); err != nil {
 		return err
 	}
+	s.data = bytes.Clone(s.data)
 	s.dirty = false
 	return nil
 }

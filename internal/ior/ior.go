@@ -12,6 +12,7 @@
 package ior
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -312,6 +313,15 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 	transfersPerBlock := int(cfg.BlockSize / cfg.TransferSize)
 	var writeSpan, readSpan time.Duration
 
+	// The store keeps every buffer it is handed, so a write buffer is never
+	// touched again. Unverified contents are irrelevant to timing and never
+	// observed: every rank's every write shares one buffer, filled once.
+	var shared []byte
+	if !cfg.Verify {
+		shared = make([]byte, cfg.TransferSize)
+		pattern(shared, 0, 0)
+	}
+
 	env.World.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
 		be, err := newBackend(cfg, env, ns, r)
 		if err != nil {
@@ -325,13 +335,6 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 			return dir + "/testFile"
 		}
 
-		buf := make([]byte, cfg.TransferSize)
-		if !cfg.Verify {
-			// Without data verification the contents are irrelevant to
-			// timing; fill once instead of per transfer.
-			pattern(buf, r.ID(), 0)
-		}
-
 		if cfg.DoWrite {
 			r.Barrier(cp)
 			start := cp.Now()
@@ -342,7 +345,9 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 			}
 			for _, st := range cfg.opOrder(r.ID(), transfersPerBlock) {
 				off := cfg.offset(r.ID(), ranks, st[0], st[1])
+				buf := shared
 				if cfg.Verify {
+					buf = make([]byte, cfg.TransferSize)
 					pattern(buf, r.ID(), off)
 				}
 				if err := h.writeAt(cp, off, buf); err != nil {
@@ -375,9 +380,10 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 			// simulates each read with identical timing while the data path
 			// materializes nothing — real IOR still moves the bytes, but the
 			// simulation only needs their geometry.
-			var readBuf []byte
+			var readBuf, want []byte
 			if cfg.Verify {
 				readBuf = make([]byte, cfg.TransferSize)
+				want = make([]byte, cfg.TransferSize)
 			}
 			for _, st := range cfg.opOrder(r.ID(), transfersPerBlock) {
 				off := cfg.offset(srcRank, ranks, st[0], st[1])
@@ -386,12 +392,9 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 					return
 				}
 				if cfg.Verify {
-					pattern(buf, srcRank, off)
-					for i := range buf {
-						if readBuf[i] != buf[i] {
-							res.VerifyErrors++
-							break
-						}
+					pattern(want, srcRank, off)
+					if !bytes.Equal(readBuf, want) {
+						res.VerifyErrors++
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package ior_test
 
 import (
+	"runtime"
 	"testing"
 
 	"daosim/internal/cluster"
@@ -100,6 +101,36 @@ func TestCollectiveRequiresShared(t *testing.T) {
 			t.Error("collective FPP accepted")
 		}
 	})
+}
+
+// TestUnverifiedWritesDoNotCopy pins the zero-copy write path: every layer
+// under each API keeps the buffer it is handed, so a shared-file write
+// phase allocates a small fraction of the bytes it writes.
+func TestUnverifiedWritesDoNotCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		api        ior.API
+		collective bool
+	}{
+		{"DFS", ior.APIDFS, false},
+		{"POSIX", ior.APIPosix, false},
+		{"MPIIO", ior.APIMPIIO, false},
+		{"MPIIO collective", ior.APIMPIIO, true},
+		{"HDF5", ior.APIHDF5, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base(tc.api, false)
+			cfg.Verify, cfg.DoRead = false, false
+			cfg.Collective = tc.collective
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res := runCfg(t, cfg)
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(res.TotalBytes)/4 {
+				t.Fatalf("allocated %d bytes to write %d, want under a quarter", alloc, res.TotalBytes)
+			}
+		})
+	}
 }
 
 func TestObjectClassesProduceDifferentLayouts(t *testing.T) {

@@ -88,6 +88,9 @@ type File struct {
 	drv   Driver
 	hints Hints
 	disp  int64 // file view displacement
+	// readBuf is the aggregator's covering-read buffer, reused across
+	// ReadAtAllInto calls and grown only when a call needs more.
+	readBuf []byte
 	// worldSizeOverride substitutes for rank.Size() in tests that exercise
 	// domain construction without a live world.
 	worldSizeOverride int
@@ -155,7 +158,8 @@ func newFile(r *mpi.Rank, drv Driver, hints Hints) *File {
 // etype).
 func (f *File) SetView(disp int64) { f.disp = disp }
 
-// WriteAt performs an independent write at the view-relative offset.
+// WriteAt performs an independent write at the view-relative offset. The
+// store keeps data, not a copy: do not modify it after the call.
 func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
 	return f.drv.WriteAt(p, f.disp+off, data)
 }
@@ -247,7 +251,8 @@ func appendPiece(v interface{}, pc *piece) []*piece {
 
 // WriteAtAll performs a two-phase collective write: ranks shuffle their data
 // to node aggregators, which write coalesced contiguous runs. Every rank
-// must call it (pass nil data for zero-length participation).
+// must call it (pass nil data for zero-length participation). The store
+// may keep data itself: do not modify it after the call.
 func (f *File) WriteAtAll(p *sim.Proc, off int64, data []byte) error {
 	lo, hi, ok := f.collectiveExtent(p, off, int64(len(data)))
 	if !ok {
@@ -281,32 +286,31 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, data []byte) error {
 }
 
 // writeCoalesced sorts pieces and writes contiguous runs, bounded by
-// CBBufSize per driver call.
+// CBBufSize per driver call. The store keeps every buffer it is handed, so
+// a run of one piece is written straight from the sender's bytes and a
+// longer run is gathered into a buffer of exactly its own size (a
+// CBBufSize buffer per run would pin 16 MiB behind every small piece).
 func (f *File) writeCoalesced(p *sim.Proc, pieces []*piece) error {
-	if len(pieces) == 0 {
-		return nil
-	}
 	sort.Slice(pieces, func(i, j int) bool { return pieces[i].Off < pieces[j].Off })
-	run := make([]byte, 0, f.hints.CBBufSize)
-	runOff := pieces[0].Off
-	flush := func() error {
-		if len(run) == 0 {
-			return nil
+	for len(pieces) > 0 {
+		n, size := 1, pieces[0].Len
+		for n < len(pieces) && pieces[n].Off == pieces[0].Off+size && size+pieces[n].Len <= f.hints.CBBufSize {
+			size += pieces[n].Len
+			n++
 		}
-		err := f.drv.WriteAt(p, runOff, run)
-		run = run[:0]
-		return err
-	}
-	for _, pc := range pieces {
-		if pc.Off != runOff+int64(len(run)) || int64(len(run))+pc.Len > f.hints.CBBufSize {
-			if err := flush(); err != nil {
-				return err
+		run := pieces[0].Data
+		if n > 1 {
+			run = make([]byte, 0, size)
+			for _, pc := range pieces[:n] {
+				run = append(run, pc.Data...)
 			}
-			runOff = pc.Off
 		}
-		run = append(run, pc.Data...)
+		if err := f.drv.WriteAt(p, pieces[0].Off, run); err != nil {
+			return err
+		}
+		pieces = pieces[n:]
 	}
-	return flush()
+	return nil
 }
 
 // ReadAtAll performs a two-phase collective read: aggregators read their
@@ -387,9 +391,16 @@ func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error 
 				rhi = rq.Off + rq.Len
 			}
 		}
+		// Answers alias the covering buffer only until their receivers
+		// copy them out, and every receiver does that before any rank can
+		// pass the next collective call's collectiveExtent allreduce, so
+		// one buffer per File serves every call.
 		var buf []byte
 		if materialize {
-			buf = make([]byte, rhi-rlo)
+			if int64(cap(f.readBuf)) < rhi-rlo {
+				f.readBuf = make([]byte, rhi-rlo)
+			}
+			buf = f.readBuf[:rhi-rlo]
 		}
 		if err := f.drv.ReadAtInto(p, rlo, rhi-rlo, buf); err != nil {
 			return err
@@ -432,5 +443,5 @@ func (f *File) collectiveExtent(p *sim.Proc, off, n int64) (lo, hi int64, ok boo
 	return lo, hi, hi > lo
 }
 
-// ExchangeFrom is exposed for tests that need the rank handle.
+// Rank returns the rank that opened the handle (for tests that need it).
 func (f *File) Rank() *mpi.Rank { return f.rank }

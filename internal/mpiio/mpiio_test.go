@@ -159,6 +159,17 @@ func TestCollectiveWriteReadRoundTrip(t *testing.T) {
 			if err != nil || !bytes.Equal(got, pattern(peer, blk)) {
 				t.Errorf("rank %d: collective neighbour read mismatch (%v)", r.ID(), err)
 			}
+			// Two blocks each, past the end of the file for the last rank:
+			// the covering buffers the aggregators reused for the reads
+			// above must grow.
+			want := append(pattern(r.ID(), blk), make([]byte, blk)...)
+			if peer > r.ID() {
+				want = append(pattern(r.ID(), blk), pattern(peer, blk)...)
+			}
+			got, err = f.ReadAtAll(cp, off, 2*blk)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("rank %d: collective two-block read mismatch (%v)", r.ID(), err)
+			}
 			f.Close(cp)
 		})
 	})

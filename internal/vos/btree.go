@@ -5,6 +5,10 @@
 // B+trees, as in the real VOS, and every update is tagged with an epoch so
 // reads can be served at any point in history until aggregation merges old
 // versions.
+//
+// Array writes are zero-copy: an extent keeps the writer's bytes, so a
+// writer hands its buffer over and must not modify it after the update.
+// Reads copy visible bytes out into the caller's buffer.
 package vos
 
 import "bytes"

@@ -45,13 +45,14 @@ func (t *ExtentTree) Len() int { return len(t.extents) }
 // Size returns the high-water mark: one past the last written byte.
 func (t *ExtentTree) Size() int64 { return t.maxEnd }
 
-// Insert records a write of data at offset with the given epoch. Data is
-// copied so the caller can reuse its buffer.
+// Insert records a write of data at offset with the given epoch. The tree
+// keeps data itself, not a copy: the caller must not modify it after the
+// call.
 func (t *ExtentTree) Insert(offset int64, epoch Epoch, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	e := Extent{Offset: offset, Epoch: epoch, Data: append([]byte(nil), data...)}
+	e := Extent{Offset: offset, Epoch: epoch, Data: data}
 	i := sort.Search(len(t.extents), func(i int) bool {
 		x := t.extents[i]
 		return x.Offset > e.Offset || (x.Offset == e.Offset && x.Epoch > e.Epoch)

@@ -202,14 +202,26 @@ func FuzzReadIntoMatchesRead(f *testing.F) {
 	})
 }
 
-func TestExtentInsertCopiesData(t *testing.T) {
+// TestExtentInsertKeepsData pins the zero-copy write contract: the tree
+// stores the caller's slice itself, so an insert of any size allocates
+// nothing beyond the extent index.
+func TestExtentInsertKeepsData(t *testing.T) {
 	tr := NewExtentTree()
 	buf := []byte("orig")
 	tr.Insert(0, 1, buf)
-	buf[0] = 'X'
-	got, _ := tr.Read(0, 4, EpochMax)
-	if string(got) != "orig" {
-		t.Fatal("extent aliased caller's buffer")
+	if got := tr.Extents()[0].Data; &got[0] != &buf[0] || len(got) != len(buf) {
+		t.Fatal("extent does not share the caller's backing array")
+	}
+
+	data := make([]byte, 2<<20)
+	tr = NewExtentTree()
+	tr.extents = make([]Extent, 0, 128) // room for every run: count Insert alone
+	epoch := Epoch(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		epoch++
+		tr.Insert(0, epoch, data)
+	}); allocs != 0 {
+		t.Fatalf("2 MiB Insert allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -134,8 +134,9 @@ func (d *dkey) getAkey(name []byte, create bool) *akey {
 	return a
 }
 
-// UpdateSingle writes a single-value akey version at epoch. It returns true
-// when the object shard was created by this update (first touch).
+// UpdateSingle writes a single-value akey version at epoch. Unlike
+// UpdateArray it copies value: single values are small metadata. It returns
+// true when the object shard was created by this update (first touch).
 func (c *Container) UpdateSingle(oid ObjectID, dk, ak []byte, epoch Epoch, value []byte) bool {
 	obj, created := c.getObject(oid, true)
 	a := obj.getDkey(dk, true).getAkey(ak, true)
@@ -171,8 +172,9 @@ func (c *Container) FetchSingle(oid ObjectID, dk, ak []byte, epoch Epoch) ([]byt
 	return append([]byte(nil), best.value...), nil
 }
 
-// UpdateArray writes data into an array akey at the byte offset. It returns
-// true when the object shard was created by this update.
+// UpdateArray writes data into an array akey at the byte offset. The store
+// keeps data, not a copy: do not modify it after the call. It returns true
+// when the object shard was created by this update.
 func (c *Container) UpdateArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, data []byte) bool {
 	obj, created := c.getObject(oid, true)
 	a := obj.getDkey(dk, true).getAkey(ak, true)
