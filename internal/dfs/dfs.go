@@ -20,6 +20,7 @@ import (
 
 	"daosim/internal/daos"
 	"daosim/internal/engine"
+	"daosim/internal/gobrec"
 	"daosim/internal/placement"
 	"daosim/internal/sim"
 	"daosim/internal/vos"
@@ -72,6 +73,12 @@ var (
 // rootOID is the well-known root directory object (metadata class S1).
 var rootOID = placement.EncodeOID(placement.S1, 0, 1)
 
+// Decoders for the gob records directories and the superblock hold.
+var (
+	entryDec gobrec.Decoder[entry]
+	sbDec    gobrec.Decoder[superblock]
+)
+
 // FS is a mounted filesystem.
 type FS struct {
 	cont *daos.Container
@@ -110,7 +117,7 @@ func Mount(p *sim.Proc, ct *daos.Container) (*FS, error) {
 		}
 		return fs, nil
 	}
-	if err := decode(raw[0], &fs.sb); err != nil || fs.sb.Magic != sbMagic {
+	if err := sbDec.Decode(raw[0], &fs.sb); err != nil || fs.sb.Magic != sbMagic {
 		return nil, ErrBadMount
 	}
 	return fs, nil
@@ -128,10 +135,6 @@ func encode(v interface{}) []byte {
 		panic("dfs: encode: " + err.Error())
 	}
 	return buf.Bytes()
-}
-
-func decode(raw []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
 }
 
 // splitPath normalizes and splits an absolute path into components.
@@ -181,7 +184,7 @@ func (fs *FS) fetchEntry(p *sim.Proc, dir *daos.Object, name string) (entry, err
 		return entry{}, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
 	var ent entry
-	if err := decode(raw[0], &ent); err != nil {
+	if err := entryDec.Decode(raw[0], &ent); err != nil {
 		return entry{}, fmt.Errorf("dfs: corrupt entry %q: %v", name, err)
 	}
 	return ent, nil

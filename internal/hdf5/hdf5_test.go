@@ -3,6 +3,7 @@ package hdf5_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"daosim/internal/cluster"
@@ -229,6 +230,30 @@ func TestParallelSlabLayout(t *testing.T) {
 			if err != nil || !bytes.Equal(got, fill(slab, byte(r))) {
 				t.Errorf("slab %d mismatch (%v)", r, err)
 			}
+		}
+	})
+}
+
+// TestSieveAllocatedLazily pins that the sieve buffer is allocated on first
+// use: an Open followed by SetSieve(0), as the IOR shared-file backend
+// does, must not allocate a DefaultSieveSize window it never uses.
+func TestSieveAllocatedLazily(t *testing.T) {
+	withVFD(t, func(p *sim.Proc, newVFD func(*sim.Proc, string, bool) hdf5.VFD) {
+		f, _ := hdf5.Create(p, newVFD(p, "/lazy.h5", true), hdf5.DefaultCosts())
+		f.CreateDataset(p, "data", 1<<20, 0)
+		f.Close(p)
+		vfd := newVFD(p, "/lazy.h5", false)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := hdf5.Open(p, vfd, hdf5.DefaultCosts())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		g.SetSieve(0)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= uint64(hdf5.DefaultSieveSize) {
+			t.Errorf("Open + SetSieve(0) allocated %d B, want < %d", n, hdf5.DefaultSieveSize)
 		}
 	})
 }

@@ -23,8 +23,8 @@ import (
 // sieve is the per-file staging buffer.
 type sieve struct {
 	size   int64
-	start  int64 // aligned window start; -1 when empty
-	data   []byte
+	start  int64  // aligned window start; -1 when empty
+	data   []byte // size bytes, allocated by the first materializing load
 	dirty  bool
 	loaded bool // data holds the window's bytes (false after a discard load)
 }
@@ -36,15 +36,17 @@ type sieve struct {
 const DefaultSieveSize = int64(256) << 10
 
 // SetSieve sets the sieve buffer size for subsequent contiguous dataset
-// I/O. Zero disables staging (parallel-HDF5 behaviour). Any buffered dirty
-// data is NOT implicitly flushed; call Flush first when changing modes
-// mid-file.
+// I/O. Zero disables staging (parallel-HDF5 behaviour). Only the size is
+// recorded: the buffer is allocated by the first access that needs its
+// bytes, so a file that disables the sieve or only simulates reads never
+// holds one. Any buffered dirty data is NOT implicitly flushed; call Flush
+// first when changing modes mid-file.
 func (f *File) SetSieve(size int64) {
 	if size <= 0 {
 		f.sieve = nil
 		return
 	}
-	f.sieve = &sieve{size: size, start: -1, data: make([]byte, size)}
+	f.sieve = &sieve{size: size, start: -1}
 }
 
 // flushSieve writes a dirty window back through the VFD. The store keeps
@@ -82,6 +84,9 @@ func (f *File) loadSieve(p *sim.Proc, off int64, materialize bool) error {
 	}
 	var dst []byte
 	if materialize {
+		if s.data == nil {
+			s.data = make([]byte, s.size)
+		}
 		dst = s.data
 	}
 	if err := f.vfd.ReadAtInto(p, window, s.size, dst); err != nil {

@@ -2,9 +2,11 @@
 // metadata store (pools, containers, attributes) that DAOS keeps in a
 // Raft-replicated state machine hosted on a subset of the engines.
 //
-// Commands and snapshots are gob-encoded; replicas communicate over the
-// cluster fabric, and clients reach the service through a fabric RPC that
-// transparently follows leader redirects.
+// Commands and snapshots are gob-encoded. Each command is a self-contained
+// gob record, and replicas decode it through primed decoders (package
+// gobrec) that skip recompiling Command's type for every record. Replicas
+// communicate over the cluster fabric, and clients reach the service
+// through a fabric RPC that transparently follows leader redirects.
 package svc
 
 import (
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"daosim/internal/fabric"
+	"daosim/internal/gobrec"
 	"daosim/internal/raft"
 	"daosim/internal/sim"
 )
@@ -91,10 +94,13 @@ func (st *State) nextUUID(kind string) string {
 	return fmt.Sprintf("%s-%08x-%04x", kind, st.Seq*0x9E3779B9, st.Seq)
 }
 
+// commands decodes the command records Apply receives.
+var commands gobrec.Decoder[Command]
+
 // Apply implements raft.StateMachine.
 func (st *State) Apply(index uint64, cmd []byte) interface{} {
 	var c Command
-	if err := gob.NewDecoder(bytes.NewReader(cmd)).Decode(&c); err != nil {
+	if err := commands.Decode(cmd, &c); err != nil {
 		return Result{Err: "svc: bad command: " + err.Error()}
 	}
 	return st.apply(c)
@@ -350,7 +356,7 @@ func (s *Service) NumReplicas() int { return len(s.replicas) }
 // Kill crashes replica i (failure injection).
 func (s *Service) Kill(i int) { s.replicas[i].Kill() }
 
-// Restartreplica recovers replica i.
+// Restart recovers replica i.
 func (s *Service) Restart(i int) { s.replicas[i].Restart() }
 
 // Client executes pool service commands from a client fabric node,

@@ -1,6 +1,8 @@
 package svc
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"strings"
 	"testing"
@@ -191,10 +193,44 @@ func TestApplyRejectsGarbage(t *testing.T) {
 	if r.Err == "" {
 		t.Fatal("garbage command applied")
 	}
+	// Command's type definitions followed by garbage, between two good
+	// records. The zero Command encoded twice on one encoder is the
+	// definitions, a value message, and the same value message again.
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(Command{}); err != nil {
+		t.Fatal(err)
+	}
+	n := buf.Len()
+	if err := enc.Encode(Command{}); err != nil {
+		t.Fatal(err)
+	}
+	// The garbage starts like a value message (a length, then a
+	// non-negative type id), so a primed decoder reads it.
+	garbage := append(bytes.Clone(buf.Bytes()[:2*n-buf.Len()]), "\x08\x02garbage"...)
+	if r := st.Apply(2, encodeCommand(t, Command{Op: OpCreatePool, Pool: "p0"})).(Result); r.Err != "" {
+		t.Fatalf("create-pool: %s", r.Err)
+	}
+	if r := st.Apply(3, garbage).(Result); !strings.HasPrefix(r.Err, "svc: bad command: ") {
+		t.Fatalf("prefixed garbage: Err = %q", r.Err)
+	}
+	if r := st.Apply(4, encodeCommand(t, Command{Op: OpQueryPool, Pool: "p0"})).(Result); r.Err != "" || r.Pool == nil {
+		t.Fatalf("query-pool after the garbage: %+v", r)
+	}
 	r = st.apply(Command{Op: "bogus"})
 	if !strings.Contains(r.Err, "unknown op") {
 		t.Fatalf("err = %q", r.Err)
 	}
+}
+
+// encodeCommand returns c as the record Client.Execute sends.
+func encodeCommand(t *testing.T, c Command) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestResultErrMapping(t *testing.T) {
