@@ -107,7 +107,7 @@ func (j PointJob) Execute() Point { return j.ExecuteIn(nil) }
 
 // ExecuteIn is Execute with the point's simulation kernel drawn from arena:
 // consecutive calls on one arena reuse the event-heap storage, event and
-// flow pools, RNG, and process-goroutine arena of the previous point
+// flow pools, RNG, and process-coroutine arena of the previous point
 // instead of rebuilding them. A nil arena builds a cold kernel. Measured
 // fields are byte-identical on every path — the executor owning a long-
 // lived worker (the Runner's pool, a studysvc worker slot) holds one arena
@@ -223,7 +223,7 @@ func (r *Runner) RunAll(cfgs []Config) ([]*Study, error) {
 
 	// One kernel arena per pool worker, held for the whole batch: each
 	// worker executes its points serially on recycled kernel state (event
-	// heap, pools, process goroutines) instead of rebuilding a Sim per
+	// heap, pools, process coroutines) instead of rebuilding a Sim per
 	// point. Results are unaffected — point seeds, not execution state,
 	// determine every measured number — and the arenas drain before RunAll
 	// returns, so repeated batches leave no goroutines behind.

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// TestArenaFreeStackReuse is the white-box pin for the goroutine arena: a
+// TestArenaFreeStackReuse is the white-box pin for the coroutine arena: a
 // sequential churn of short-lived processes must execute on a handful of
-// reused worker goroutines, not one per process, and finished shells must
+// reused coroutines, not one per process, and finished shells must
 // land on the free stack.
 func TestArenaFreeStackReuse(t *testing.T) {
 	s := New(1)
@@ -22,18 +22,18 @@ func TestArenaFreeStackReuse(t *testing.T) {
 	s.Run()
 	// At most two processes overlap (spacing 1µs, lifetime 0.1µs), so the
 	// arena must stay tiny; without reuse it would hold 1000 workers.
-	if s.nworkers > 4 {
-		t.Fatalf("arena grew to %d workers for %d sequential processes", s.nworkers, procs)
+	if s.Workers() > 4 {
+		t.Fatalf("arena grew to %d workers for %d sequential processes", s.Workers(), procs)
 	}
-	if len(s.idle) != s.nworkers {
-		t.Fatalf("idle stack holds %d of %d workers after drain-out", len(s.idle), s.nworkers)
+	if len(s.idle) != s.Workers() {
+		t.Fatalf("idle stack holds %d of %d workers after drain-out", len(s.idle), s.Workers())
 	}
 	// The next spawn must come from the free stack, not grow the arena.
-	before := s.nworkers
+	before := s.Workers()
 	s.Spawn("again", func(p *Proc) {})
 	s.Run()
-	if s.nworkers != before {
-		t.Fatalf("spawn after quiesce grew the arena: %d -> %d workers", before, s.nworkers)
+	if s.Workers() != before {
+		t.Fatalf("spawn after quiesce grew the arena: %d -> %d workers", before, s.Workers())
 	}
 	s.Drain()
 }
@@ -54,8 +54,8 @@ func TestArenaConcurrentProcsGetDistinctWorkers(t *testing.T) {
 		})
 	}
 	s.Run()
-	if s.nworkers != procs {
-		t.Fatalf("nworkers = %d, want %d for %d overlapping processes", s.nworkers, procs, procs)
+	if s.Workers() != procs {
+		t.Fatalf("Workers() = %d, want %d for %d overlapping processes", s.Workers(), procs, procs)
 	}
 	if len(seen) != procs {
 		t.Fatalf("distinct shells = %d, want %d", len(seen), procs)
@@ -125,6 +125,58 @@ func TestArenaGetDiscardsNonQuiesced(t *testing.T) {
 		t.Fatalf("replacement sim not clean: now=%v quiesced=%v", s2.Now(), s2.Quiesced())
 	}
 	a.Drain()
+}
+
+// TestArenaDiscardStopsProcesses pins that discarding a Sim reclaims every
+// coroutine it started, for a Sim left mid-run and for one broken by a
+// process panic: every live body unwinds with its deferred calls run, a
+// deferred call that blocks fires no event, and once the arena drains the
+// goroutine count is back to baseline.
+func TestArenaDiscardStopsProcesses(t *testing.T) {
+	for _, panicked := range []bool{false, true} {
+		baseline := runtime.NumGoroutine()
+		a := NewArena()
+		s := a.Get(1)
+		unwound, fired := 0, false
+		s.At(2*time.Second, func() { fired = true })
+		for i := 0; i < 50; i++ {
+			s.Spawn("idler", func(p *Proc) {
+				defer func() { unwound++ }()
+				p.ParkIdle()
+			})
+			s.Spawn("sleeper", func(p *Proc) {
+				defer func() {
+					unwound++
+					p.Sleep(time.Hour) // blocks: must unwind, not dispatch
+				}()
+				p.Sleep(time.Hour)
+			})
+		}
+		if panicked {
+			s.Spawn("faulty", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				explodeInBody()
+			})
+		}
+		if got := recovered(func() { s.RunUntil(time.Second) }); (got != nil) != panicked {
+			t.Fatalf("panicked=%v: RunUntil raised %v", panicked, got)
+		}
+		a.Get(2)
+		if a.Discarded != 1 {
+			t.Fatalf("panicked=%v: Discarded = %d, want 1", panicked, a.Discarded)
+		}
+		if unwound != 100 || fired {
+			t.Fatalf("panicked=%v: %d of 100 bodies unwound, event fired during discard: %v", panicked, unwound, fired)
+		}
+		a.Drain()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("panicked=%v: goroutines leaked: baseline %d, after drain %d", panicked, baseline, n)
+		}
+	}
 }
 
 // TestArenaReuseAcrossGets pins that consecutive Get calls on quiesced runs
@@ -210,7 +262,7 @@ func TestContendedResourceSteadyStateDoesNotAllocate(t *testing.T) {
 		}
 		s.Run()
 	}
-	cycle(100) // warm the event pool, goroutine arena, and queue backings
+	cycle(100) // warm the event pool, coroutine arena, and queue backings
 	const opsPerCycle = 200 * 16
 	avg := testing.AllocsPerRun(5, func() { cycle(200) })
 	// A cycle allocates its 16 spawn closures; per-operation allocation

@@ -2,12 +2,14 @@
 //
 // The kernel drives every timed component in this repository: storage media,
 // network fabric, DAOS engines, and the benchmark clients. Simulated
-// "processes" are ordinary goroutines that pass a single control token
-// between themselves through strict channel handoff, so exactly one
-// goroutine runs at any instant and event ordering is fully deterministic:
-// events fire in (time, insertion-sequence) order. There is no dedicated
-// scheduler goroutine — whichever goroutine holds the token drives the
-// dispatch loop (see schedule) and wakes the next process directly.
+// "processes" are coroutines (iter.Pull), so exactly one of them runs at any
+// instant and event ordering is fully deterministic: events fire in (time,
+// insertion-sequence) order. Run and RunUntil are the only code that resumes
+// a process. A process that blocks runs the dispatch loop on its own stack
+// (see dispatch): when the next event is its own wake-up it simply carries
+// on; otherwise it yields back to Run or RunUntil, naming the process to
+// resume next. A coroutine switch never enters the Go scheduler, so handing
+// control from one process to another wakes no OS thread.
 //
 // The design follows the classic process-interaction style (SimPy, CSIM):
 // a process calls Sleep, acquires Resources, transfers bytes over SharedBW
@@ -15,16 +17,15 @@
 // those interactions. Virtual time is a time.Duration measured from the start
 // of the run.
 //
-// Three mechanisms keep the hot loop cheap without changing observable order:
+// Four mechanisms keep the hot loop cheap without changing observable order:
 //
-//   - Timer-only interactions avoid goroutine parking entirely. When a
+//   - Timer-only interactions avoid suspending the process entirely. When a
 //     process Sleeps and no other event is due at or before its wake time,
-//     the kernel advances virtual time inline on the calling goroutine
-//     instead of scheduling a wake event and handing control back to the
-//     scheduler (two channel handoffs each way). A Transfer that joins an
-//     idle SharedBW link gets the same treatment: a sole flow is a pure
-//     timer (size over the per-flow rate), so the kernel advances time
-//     inline with no event, no flow record, and no park/unpark.
+//     the kernel advances virtual time inline on the calling process
+//     instead of scheduling a wake event and dispatching. A Transfer that
+//     joins an idle SharedBW link gets the same treatment: a sole flow is a
+//     pure timer (size over the per-flow rate), so the kernel advances time
+//     inline with no event, no flow record, and no suspension.
 //
 //   - Events are plain pooled structs, not closures. Process wake-ups and
 //     SharedBW completions carry a target pointer instead of an allocated
@@ -41,24 +42,27 @@
 //     number they would have been stamped with, so firing order is exactly
 //     that of the heap-event formulation.
 //
-//   - Process goroutines come from a per-Sim arena. A finished process
-//     body parks its goroutine (and its Proc shell and wake channel) on a
-//     free stack instead of exiting, and the next Spawn revives it with a
-//     single token send — no goroutine or stack creation, no allocation.
-//     The control token passes through one-slot buffered channels, so a
-//     handoff never blocks the sender: the waker deposits the token and
-//     proceeds straight to its own park, one blocking channel op per
-//     park/resume cycle instead of a send rendezvous plus a receive (and
-//     the buffer is what lets a finishing goroutine's own dispatch drive
-//     revive that same goroutine for a pending spawn). Sim.Reset rewinds a
-//     drained simulator to its post-New state while keeping the arena, the
-//     event and flow pools, and the heap and ready-queue storage, so a
-//     sweep can run thousands of simulations on one kernel's allocations
-//     (see Arena).
+//   - Process coroutines come from a per-Sim arena. A finished process
+//     body parks its coroutine (and its Proc shell) on a free stack instead
+//     of exiting, and the next Spawn revives it — no goroutine or stack
+//     creation, no allocation. When the event after a body's end spawns
+//     onto that same shell, the coroutine runs the new body without a
+//     switch. Sim.Reset rewinds a drained simulator to its post-New state
+//     while keeping the arena, the event and flow pools, and the heap and
+//     ready-queue storage, so a sweep can run thousands of simulations on
+//     one kernel's allocations (see Arena).
+//
+// A panic in a process body reaches the Run or RunUntil caller carrying the
+// process name and the stack that panicked, and leaves the Sim inert: later
+// drives resume nothing.
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"iter"
+	"runtime/debug"
+	"slices"
 	"time"
 )
 
@@ -85,23 +89,28 @@ type Sim struct {
 	now      time.Duration
 	seq      uint64
 	queue    eventHeap
-	free     []*event      // recycled events; popped entries return here
-	flowFree []*flow       // recycled SharedBW flow records
-	ready    []readyProc   // procs unparked at the current instant, FIFO
-	rhead    int           // index of the first undrained ready entry
-	done     chan struct{} // control token return to the Run/RunUntil caller
-	nproc    int           // live (spawned, not yet finished) processes
-	parked   int           // processes blocked on a resource/queue (no pending event)
+	free     []*event    // recycled events; popped entries return here
+	flowFree []*flow     // recycled SharedBW flow records
+	ready    []readyProc // procs unparked at the current instant, FIFO
+	rhead    int         // index of the first undrained ready entry
+	nproc    int         // live (spawned, not yet finished) processes
+	parked   int         // processes blocked on a resource/queue (no pending event)
 	rng      *RNG
 
-	// idle is the goroutine arena's free stack: Proc shells whose
-	// goroutines finished a body and parked awaiting reuse. nworkers counts
-	// every arena goroutine ever started and not yet drained (idle + live),
-	// bounding the arena for leak checks. drainAck, set only inside Drain,
-	// is where exiting workers acknowledge their shutdown token.
-	idle     []*Proc
-	nworkers int
-	drainAck chan struct{}
+	// next is the process a yielding coroutine names for drive to resume;
+	// nil ends the drive.
+	next *Proc
+	// idle is the coroutine arena's free stack: Proc shells whose
+	// coroutines finished a body and wait for reuse. procs holds every
+	// shell started and not yet drained (idle + live), so a discard can
+	// stop them all.
+	idle  []*Proc
+	procs []*Proc
+	// broken is set for the length of each drive and stays set when a
+	// process panics out of it; a broken Sim resumes nothing. stopping is
+	// set by discard: a process that blocks then unwinds instead of
+	// dispatching.
+	broken, stopping bool
 
 	// limit is the horizon of the innermost Run/RunUntil drive; the Sleep
 	// fast path must not advance time past it.
@@ -113,14 +122,7 @@ type Sim struct {
 }
 
 // New returns a simulator whose random source is seeded with seed.
-func New(seed uint64) *Sim {
-	return &Sim{
-		// Buffered so the dispatch chain can return the control token even
-		// while it is itself the goroutine driving Run (empty simulation).
-		done: make(chan struct{}, 1),
-		rng:  NewRNG(seed),
-	}
-}
+func New(seed uint64) *Sim { return &Sim{rng: NewRNG(seed)} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
@@ -132,8 +134,8 @@ func (s *Sim) RNG() *RNG { return s.rng }
 // order, which keeps runs reproducible. Exactly one of fire, proc, spawn, or
 // bw is set: fire is a generic callback, proc wakes a parked process, spawn
 // starts a new process (the event carries the body and name; the process
-// draws its goroutine from the arena only when the event fires, so a batch
-// of pre-scheduled future processes reuses the goroutines of the ones that
+// draws its coroutine from the arena only when the event fires, so a batch
+// of pre-scheduled future processes reuses the coroutines of the ones that
 // finished before them), and bw checks a SharedBW completion (gen guards
 // against stale, superseded completions). Events are pooled: once popped
 // they are reset and recycled, so no component may retain a popped event.
@@ -336,44 +338,33 @@ func (s *Sim) readyFirst() bool {
 	return len(s.queue) == 0 || s.queue[0].at > s.now || s.queue[0].seq > s.ready[s.rhead].seq
 }
 
-// schedule runs the dispatch loop on the calling goroutine until control
-// must pass elsewhere. The kernel has no dedicated scheduler goroutine:
-// whichever goroutine holds the control token (the Run/RunUntil caller at
-// first, then each parking or finishing process in turn) drives dispatch
-// itself, and a process wake-up is a direct goroutine-to-goroutine handoff
-// (one channel send) instead of a round trip through a scheduler. self is
-// the process whose goroutine is driving, or nil for the Run caller; when
-// the next event is self's own wake-up, schedule simply returns true and no
-// channel operation happens at all. Exactly one goroutine runs kernel code
-// at any instant, and event order is identical to a centralized loop: the
-// handoff only changes which stack executes the same (time, seq) sequence.
+// dispatch runs the dispatch loop until an event resumes a process, and
+// returns that process: a ready entry, a heap wake-up, or a spawn, bound
+// here to an arena shell. SharedBW completions and fire callbacks run inline
+// on the calling stack. It returns nil when the drive ends: the queue
+// drained, or the next event lies past s.limit.
 //
-// schedule returns true if control stays with the caller (self resumed). It
-// returns false after handing the token to another process or, when the
-// drive ends (queue drained, or the next event lies past s.limit), after
-// returning the token to the Run/RunUntil caller through s.done.
-func (s *Sim) schedule(self *Proc) bool {
+// The kernel has no scheduler goroutine. drive dispatches first; after
+// that, each process that blocks or finishes dispatches on its own stack
+// and either carries on, when the result is itself, or yields it to drive
+// (see yieldWait). Event order is identical to a centralized loop: only
+// the stack that executes each (time, seq) step differs.
+func (s *Sim) dispatch() *Proc {
 	for {
 		if s.rhead < len(s.ready) {
 			if s.readyFirst() {
 				p := s.ready[s.rhead].proc
 				s.popReady()
-				if p == self {
-					return true
-				}
-				p.wake <- struct{}{}
-				return false
+				return p
 			}
 		} else if len(s.queue) == 0 {
-			s.done <- struct{}{}
-			return false
+			return nil
 		}
 		if s.queue[0].at > s.limit {
 			if s.now < s.limit {
 				s.now = s.limit
 			}
-			s.done <- struct{}{}
-			return false
+			return nil
 		}
 		e := s.queue.pop()
 		s.now = e.at
@@ -381,31 +372,22 @@ func (s *Sim) schedule(self *Proc) bool {
 		case e.proc != nil:
 			p := e.proc
 			s.recycle(e)
-			if p == self {
-				return true
-			}
-			p.wake <- struct{}{}
-			return false
+			return p
 		case e.bw != nil:
 			// Owned by the SharedBW (see schedBW); never recycled.
 			if e.gen == e.bw.gen {
 				e.bw.complete()
 			}
 		case e.spawn != nil:
-			// Bind the new process to an arena goroutine now, at fire time:
+			// Bind the new process to an arena shell now, at fire time:
 			// shells freed by processes that finished earlier in the run are
-			// on the free stack and get reused. The goroutine is already
-			// parked at its run loop's receive, and the wake channel's
-			// one-slot buffer makes the handoff safe even when the popped
-			// shell belongs to the goroutine driving this very dispatch — a
-			// finishing process immediately reincarnated deposits its own
-			// token, returns from schedule, and collects it at the loop top.
+			// on the free stack and get reused — possibly the very shell
+			// whose finished body is running this dispatch (see run).
 			p := s.allocProc()
 			p.name = e.sname
 			p.body = e.spawn
 			s.recycle(e)
-			p.wake <- struct{}{}
-			return false
+			return p
 		case e.fire != nil:
 			fn := e.fire
 			s.recycle(e)
@@ -416,15 +398,32 @@ func (s *Sim) schedule(self *Proc) bool {
 	}
 }
 
+// drive resumes processes until the drive ends, and is the only caller of a
+// coroutine's resume: each resumed process runs until it yields, naming the
+// next one in s.next. It reports false, resuming nothing, on a broken Sim.
+// A process panic leaves the Sim broken, since the panic propagates out of
+// resume before the flag is cleared.
+func (s *Sim) drive() bool {
+	if s.broken {
+		return false
+	}
+	s.broken = true
+	for p := s.dispatch(); p != nil; p = s.next {
+		s.next = nil
+		p.resume()
+	}
+	s.broken = false
+	return true
+}
+
 // Run drives the simulation until no events remain. It returns the final
 // virtual time. If processes are still blocked on resources when the event
 // queue drains, Run panics: that is a deadlock in the modelled system and
-// continuing would silently leak goroutines.
+// continuing would silently strand its coroutines. On a Sim broken by a
+// process panic, Run returns at once.
 func (s *Sim) Run() time.Duration {
 	s.limit = maxTime
-	s.schedule(nil)
-	<-s.done
-	if s.parked > 0 {
+	if s.drive() && s.parked > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with no pending events at %v", s.parked, s.now))
 	}
 	return s.now
@@ -432,25 +431,24 @@ func (s *Sim) Run() time.Duration {
 
 // RunUntil drives the simulation until virtual time passes limit or no
 // events remain, whichever comes first. Processes may still be live when it
-// returns. It reports whether the event queue drained.
+// returns. It reports whether the event queue drained. On a Sim broken by a
+// process panic it returns true at once: nothing will run again.
 func (s *Sim) RunUntil(limit time.Duration) bool {
 	s.limit = limit
-	s.schedule(nil)
-	<-s.done
-	return len(s.queue) == 0
+	return !s.drive() || len(s.queue) == 0
 }
 
 // Quiesced reports whether the simulation has fully drained: no live or
-// parked processes, no pending events, no ready resumptions. A quiesced Sim
-// may be rewound with Reset.
+// parked processes, no pending events, no ready resumptions, and no process
+// panic. A quiesced Sim may be rewound with Reset.
 func (s *Sim) Quiesced() bool {
-	return s.nproc == 0 && s.parked == 0 && len(s.queue) == 0 && s.readyLen() == 0
+	return !s.broken && s.nproc == 0 && s.parked == 0 && len(s.queue) == 0 && s.readyLen() == 0
 }
 
 // Reset rewinds a quiesced simulator to the state New(seed) would return,
 // while keeping every allocation worth keeping: the event and flow free
 // lists, the heap and ready-queue backing arrays, and the arena of parked
-// process goroutines. A run on a Reset simulator is byte-identical to a run
+// process coroutines. A run on a Reset simulator is byte-identical to a run
 // on a fresh one — virtual time, the insertion-sequence counter, and the
 // random stream all restart from their seeds, and pooled storage carries no
 // observable state (recycled events and flows are cleared, and the heap and
@@ -467,42 +465,53 @@ func (s *Sim) Reset(seed uint64) {
 	s.rng.Seed(seed)
 }
 
-// Drain stops the arena's idle worker goroutines and waits for them to
-// exit. It must only be called while no simulation is being driven — the
-// natural moment is a sweep worker retiring its Sim. Live processes (a
-// non-quiesced simulator) are untouched and their goroutines are not
-// reclaimable; a later Spawn simply regrows the arena.
+// Drain stops the arena's idle coroutines; each has exited when Drain
+// returns. It must only be called while no simulation is being driven — the
+// natural moment is a sweep worker retiring its Sim. Live processes are
+// untouched and a later drive resumes them; a later Spawn simply regrows
+// the arena. (Arena stops the live processes of a Sim it discards.)
 func (s *Sim) Drain() {
-	k := len(s.idle)
-	if k == 0 {
-		return
+	for _, p := range s.idle {
+		p.stop()
+		p.resume = nil // marks the shell for removal from procs
 	}
-	s.drainAck = make(chan struct{})
-	for i, p := range s.idle {
-		p.wake <- struct{}{} // body == nil: the worker exits and acks
-		s.idle[i] = nil
-	}
+	clear(s.idle)
 	s.idle = s.idle[:0]
-	for i := 0; i < k; i++ {
-		<-s.drainAck
-	}
-	s.drainAck = nil
-	s.nworkers -= k
+	s.procs = slices.DeleteFunc(s.procs, func(p *Proc) bool { return p.resume == nil })
 }
 
-// Workers returns the number of live arena goroutines (parked idle shells
-// plus running processes). It exists for leak tests: after a quiesced Sim
-// is drained it must be zero.
-func (s *Sim) Workers() int { return s.nworkers }
+// discard retires a Sim that will never run again by stopping every
+// coroutine it started. An idle shell exits. A live process's pending
+// yieldWait panics with errStopped, so its body unwinds — its deferred calls
+// run — and its coroutine exits. While stopping is set, a process that
+// blocks (say, in one of those deferred calls) panics the same way instead
+// of dispatching, so no event fires during a discard.
+func (s *Sim) discard() {
+	s.broken, s.stopping = true, true
+	for _, p := range s.procs {
+		p.stop()
+	}
+	s.procs, s.idle = nil, nil
+}
+
+// Workers returns the number of live arena coroutines (idle shells plus
+// running processes). It exists for leak tests: after a quiesced Sim is
+// drained it must be zero.
+func (s *Sim) Workers() int { return len(s.procs) }
 
 // Proc is a handle held by a simulated process. All blocking operations
 // (Sleep, Resource.Acquire, Queue.Recv, ...) take the Proc so the kernel can
-// park and resume the goroutine.
+// suspend and resume the process's coroutine.
 type Proc struct {
 	sim  *Sim
 	name string
-	wake chan struct{}
 	body func(p *Proc)
+	// resume and stop are the shell coroutine's iter.Pull pair; only drive
+	// resumes. yield suspends the coroutine back to drive and reports
+	// false once stop was called.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 }
 
 // Name returns the process name given at Spawn.
@@ -515,16 +524,16 @@ func (p *Proc) Sim() *Sim { return p.sim }
 func (p *Proc) Now() time.Duration { return p.sim.now }
 
 // Spawn creates a process that begins running body at the current virtual
-// time. body executes on its own goroutine but in strict alternation with
+// time. body executes on its own coroutine but in strict alternation with
 // every other process, so no locking is required inside the simulation.
 func (s *Sim) Spawn(name string, body func(p *Proc)) {
 	s.SpawnAt(s.now, name, body)
 }
 
 // SpawnAt creates a process that begins running body at virtual time t. The
-// process is bound to an arena goroutine — a shell recycled from a finished
-// process when one is free, a fresh goroutine otherwise — when its spawn
-// event fires, so processes scheduled for the future reuse the goroutines
+// process is bound to an arena coroutine — a shell recycled from a finished
+// process when one is free, a fresh coroutine otherwise — when its spawn
+// event fires, so processes scheduled for the future reuse the coroutines
 // of processes that finish before then.
 func (s *Sim) SpawnAt(t time.Duration, name string, body func(p *Proc)) {
 	s.nproc++
@@ -535,10 +544,8 @@ func (s *Sim) SpawnAt(t time.Duration, name string, body func(p *Proc)) {
 }
 
 // allocProc takes a parked process shell from the arena's free stack, or
-// starts a fresh worker goroutine (which immediately parks at its run
-// loop's receive). Writing the shell's name and body after allocProc is
-// safe even though the worker goroutine is live: it reads them only after
-// receiving the spawn handoff, which the channel orders after the writes.
+// makes a fresh coroutine for one. A fresh coroutine starts at its first
+// resume, after the caller has set the shell's name and body.
 func (s *Sim) allocProc() *Proc {
 	if n := len(s.idle); n > 0 {
 		p := s.idle[n-1]
@@ -546,46 +553,70 @@ func (s *Sim) allocProc() *Proc {
 		s.idle = s.idle[:n-1]
 		return p
 	}
-	p := &Proc{sim: s, wake: make(chan struct{}, 1)}
-	s.nworkers++
-	go p.run()
+	p := &Proc{sim: s}
+	p.resume, p.stop = iter.Pull(p.run)
+	s.procs = append(s.procs, p)
 	return p
 }
 
-// run is an arena goroutine's lifetime: for each assignment, wait for the
-// spawn handoff, execute the body, park the shell on the free stack, and
-// keep driving the dispatch loop with the token the body was left holding.
-// A handoff with no body pending is the drain signal: the goroutine exits
-// after acknowledging it.
-func (p *Proc) run() {
-	for {
-		<-p.wake
-		body := p.body
-		if body == nil {
-			p.sim.drainAck <- struct{}{}
-			return
+// errStopped is the panic yieldWait raises in a process whose coroutine is
+// being stopped; run recovers it, which ends the coroutine.
+var errStopped = errors.New("sim: process stopped")
+
+// procPanic is a process body's panic on its way to the Run or RunUntil
+// caller. iter.Pull recovers a coroutine's panic and raises it again on the
+// goroutine that resumed it, losing the frames that panicked, so run records
+// the stack before it unwinds.
+type procPanic struct {
+	proc  string
+	value any
+	stack []byte
+}
+
+func (e *procPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", e.proc, e.value, e.stack)
+}
+
+// run is an arena coroutine's lifetime: execute the assigned body, park the
+// shell on the free stack, and dispatch until drive resumes the shell
+// with its next body — or, when the next event spawns onto this very shell,
+// carry straight on. Stopping the coroutine ends it through errStopped.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil && r != errStopped {
+			panic(&procPanic{proc: p.name, value: r, stack: debug.Stack()})
 		}
+	}()
+	s := p.sim
+	for {
+		body := p.body
 		p.body = nil
 		body(p)
-		s := p.sim
 		s.nproc--
-		// Still holding the token, so pushing the shell is exclusive; a
-		// spawn event dispatched just below may pop it right back and
-		// re-arm p.wake through its one-slot buffer.
 		s.idle = append(s.idle, p)
-		s.schedule(nil)
+		p.yieldWait()
 	}
 }
 
-// yieldWait parks the calling process until another event resumes it. The
-// caller must have arranged for a wakeup before calling. The parking
-// goroutine drives the dispatch loop itself until the token moves on; if the
-// very next event is its own wake-up, it returns without blocking.
+// yieldWait suspends the calling process until an event resumes it; the
+// caller must have arranged for that event. The process dispatches on its
+// own stack, so when the next event is its own wake-up it returns at once
+// with no switch. Otherwise it yields to drive, naming the process to
+// resume next. A stopped coroutine panics with errStopped instead.
 func (p *Proc) yieldWait() {
-	if p.sim.schedule(p) {
+	s := p.sim
+	if s.stopping {
+		panic(errStopped)
+	}
+	next := s.dispatch()
+	if next == p {
 		return
 	}
-	<-p.wake
+	s.next = next
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // park blocks the process indefinitely; some other component must call
@@ -624,7 +655,8 @@ func (s *Sim) unpark(p *Proc) {
 // detection. It is the building block for external blocking primitives
 // (mailbox receives, future waits) where indefinite idling is legitimate:
 // a server loop parked on an empty mailbox when the run drains is idle, not
-// deadlocked. Its goroutine is reclaimed when the process exits.
+// deadlocked. Its coroutine returns to the arena when the process exits,
+// and is stopped, unwinding the body, when an Arena discards the Sim.
 func (p *Proc) ParkIdle() { p.yieldWait() }
 
 // Unpark schedules a process blocked in ParkIdle to resume at the current
@@ -638,7 +670,7 @@ func (s *Sim) Unpark(p *Proc) { s.unpark(p) }
 // Fast path: when no other event is due at or before the wake time (and the
 // wake time is within the current drive's horizon), sleeping cannot
 // interleave with anything, so the kernel advances virtual time inline and
-// returns without parking the goroutine or touching the event heap. Relative
+// returns without suspending the process or touching the event heap. Relative
 // event order is exactly that of the slow path.
 func (p *Proc) Sleep(d time.Duration) {
 	s := p.sim

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -338,6 +340,58 @@ func TestDeadlockDetection(t *testing.T) {
 		}
 	}()
 	s.Run()
+}
+
+// explodeInBody is the frame TestBodyPanicReachesRunCaller looks for in the
+// stack a process panic carries.
+func explodeInBody() { panic("boom") }
+
+// recovered calls fn and returns what it panicked with, or nil when it
+// returned normally.
+func recovered(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+// TestBodyPanicReachesRunCaller pins that a panic in a process body reaches
+// the Run caller with the process name, the original value and the stack
+// that panicked, and leaves the Sim inert: a later Run resumes nothing and
+// raises no deadlock panic although a process is still parked.
+func TestBodyPanicReachesRunCaller(t *testing.T) {
+	s := New(1)
+	r := NewResource(s, "r", 1)
+	s.Spawn("holder", func(p *Proc) { r.Acquire(p) })
+	s.Spawn("waiter", func(p *Proc) { r.Acquire(p) }) // parks for good
+	s.Spawn("faulty", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		explodeInBody()
+	})
+	got := recovered(func() { s.Run() })
+	if got == nil {
+		t.Fatal("Run returned normally past a process panic")
+	}
+	msg := fmt.Sprint(got)
+	for _, want := range []string{`"faulty"`, "boom", "explodeInBody"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic text lacks %q:\n%s", want, msg)
+		}
+	}
+
+	resumed := false
+	s.Spawn("later", func(p *Proc) { resumed = true })
+	if got := recovered(func() { s.Run() }); got != nil {
+		t.Fatalf("Run on a broken Sim panicked: %v", got)
+	}
+	if !s.RunUntil(time.Hour) {
+		t.Error("RunUntil on a broken Sim reported work left to drive")
+	}
+	if resumed || s.Now() != time.Millisecond {
+		t.Errorf("broken Sim ran on: resumed=%v now=%v", resumed, s.Now())
+	}
+	if s.Quiesced() {
+		t.Error("broken Sim reports quiesced")
+	}
 }
 
 func TestRunUntil(t *testing.T) {

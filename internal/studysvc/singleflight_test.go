@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"daosim/internal/cache"
 	"daosim/internal/core"
@@ -136,6 +137,56 @@ func TestSingleFlightDedupsConcurrentSubmissions(t *testing.T) {
 	srv.flightMu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("%d flights leaked after both streams completed", leaked)
+	}
+}
+
+// TestFinishResolvesFlightBeforePublishing pins the order inside finish: a
+// leader's flight is resolved before its point becomes visible. An
+// unregistered batch publishes inside deliver, so with the order reversed
+// its client could read the last point, re-submit, and park the
+// re-submission on the stale flight — a coalesced replay where a cache hit
+// was due. Holding flightMu blocks resolve, so the point must stay
+// unpublished until the lock is released.
+func TestFinishResolvesFlightBeforePublishing(t *testing.T) {
+	memCache, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 1, NewWorker: func() Worker { return stubWorker{} }, Cache: memCache})
+	defer srv.Close()
+	_, jobs := core.Decompose([]core.Config{smallConfig([]core.Variant{{Label: "daos S2", API: ior.APIDFS}})})
+	b := srv.newBatch(context.Background(), "", jobs, 1)
+	leader := task{b: b, pos: 0, key: jobs[0].Key()}
+	if !srv.lead(leader) {
+		t.Fatal("a fresh key was already in flight")
+	}
+	published := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.log)
+	}
+
+	srv.flightMu.Lock()
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		srv.finish(leader, core.Point{Nodes: jobs[0].Nodes}, false)
+	}()
+	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n := published(); n != 0 {
+			srv.flightMu.Unlock()
+			t.Fatalf("%d point(s) published while the flight was still registered", n)
+		}
+	}
+	srv.flightMu.Unlock()
+	<-finished
+	if n := published(); n != 1 {
+		t.Fatalf("log holds %d points after finish, want 1", n)
+	}
+	srv.flightMu.Lock()
+	defer srv.flightMu.Unlock()
+	if n := len(srv.flights); n != 0 {
+		t.Fatalf("%d flight(s) left registered after finish", n)
 	}
 }
 

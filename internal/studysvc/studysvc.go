@@ -370,8 +370,10 @@ func (s *Server) memberLoop(m *member) {
 		case err == nil:
 			m.points.Add(1)
 			if s.cache != nil && pt.Err == "" {
-				// Put before finish: the instant the flight resolves, a
-				// fresh looker-up of this key must already find the entry.
+				// Put, then resolve, then publish (see finish): the instant
+				// the flight resolves, a fresh looker-up of this key must
+				// already find the entry, and a client that has read the
+				// point must find the flight gone.
 				s.cache.Put(t.key, pt.CacheEntry())
 			}
 			s.finish(t, pt, false)
@@ -435,13 +437,17 @@ func (s *Server) resolve(k cache.Key) []task {
 	return f.waiters
 }
 
-// finish delivers pt to t's batch and replays it to every waiter that
-// coalesced onto t's flight, committing each waiter's batch. Committing
-// t's own batch is the caller's call: enqueue gathers a batch's cache
-// hits into one commit.
+// finish resolves t's flight, delivers pt to t's batch, and replays it to
+// every waiter that coalesced onto the flight, committing each waiter's
+// batch. The flight goes first: an unregistered batch publishes inside
+// deliver, so its client may read the point and re-submit at once, and
+// the re-submission must find the cache entry, not a flight to wait on.
+// Committing t's own batch is the caller's call: enqueue gathers a batch's
+// cache hits into one commit.
 func (s *Server) finish(t task, pt core.Point, hit bool) {
+	waiters := s.resolve(t.key)
 	t.b.deliver(t.pos, toWire(t.job(), pt, hit))
-	for _, w := range s.resolve(t.key) {
+	for _, w := range waiters {
 		sp := toWire(w.job(), pt, hit)
 		sp.Coalesced = true
 		w.b.deliver(w.pos, sp)

@@ -43,7 +43,7 @@ type Prober interface {
 // LocalWorker simulates points in-process through the same execution path
 // as core.Runner (core.PointJob.ExecuteIn), so results through the server
 // are byte-identical to direct runs. Each instance owns a kernel arena that
-// recycles simulator state (event heap, pools, process goroutines) across
+// recycles simulator state (event heap, pools, process coroutines) across
 // the points its pool slot executes; the zero value is ready to use.
 type LocalWorker struct {
 	arena *sim.Arena
@@ -63,7 +63,7 @@ func (w *LocalWorker) RunPoint(ctx context.Context, j core.PointJob) (core.Point
 }
 
 // Close implements io.Closer: it drains the worker's kernel arena, waiting
-// for its parked goroutines to exit. The server closes each pool slot's
+// for its coroutines to exit. The server closes each pool slot's
 // Worker on shutdown, so a drained daosd returns to its baseline goroutine
 // count.
 func (w *LocalWorker) Close() error {
