@@ -83,9 +83,6 @@ type Options struct {
 	Peer string
 	// PeerOptions tunes the remote tier; zero values take defaults.
 	PeerOptions RemoteOptions
-	// Tiers appends extra lower tiers below the built-in ones, in order.
-	// They are treated as local (GetLocal and PutLocal reach them).
-	Tiers []Tier
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.
@@ -157,21 +154,24 @@ func New(o Options) (*Cache, error) {
 	}
 	c := &Cache{mem: newMemTier(o.MaxEntries), dir: o.Dir}
 	if o.Dir != "" {
-		d, err := NewBoundedDiskTier(o.Dir, o.MaxDiskBytes)
+		d, err := newDiskTier(o.Dir, o.MaxDiskBytes)
 		if err != nil {
 			return nil, err
 		}
-		c.disk = d.(*diskTier)
+		c.disk = d
 		c.tiers = append(c.tiers, d)
 	}
 	if o.Peer != "" {
-		r := NewRemoteTier(o.Peer, o.PeerOptions)
-		c.remote = r.(*remoteTier)
-		c.tiers = append(c.tiers, r)
+		c.remote = newRemoteTier(o.Peer, o.PeerOptions)
+		c.tiers = append(c.tiers, c.remote)
 	}
-	c.tiers = append(c.tiers, o.Tiers...)
 	return c, nil
 }
+
+// isNetwork reports whether t is the remote tier. GetLocal and PutLocal
+// skip it, which is what keeps a daosd serving its own /v1/cache endpoints
+// from forwarding lookups to its peer in a loop.
+func (c *Cache) isNetwork(t Tier) bool { return t == c.remote }
 
 // Get returns the cached entry for k, consulting every tier in order and
 // hydrating the tiers above a hit.
@@ -188,7 +188,7 @@ func (c *Cache) lookup(k Key, network bool) (Entry, bool) {
 		return e, true
 	}
 	for i, t := range c.tiers {
-		if !network && isNetwork(t) {
+		if !network && c.isNetwork(t) {
 			continue
 		}
 		e, r := t.Load(k)
@@ -198,14 +198,14 @@ func (c *Cache) lookup(k Key, network bool) (Entry, bool) {
 			// Hydrate the tiers this one sits below, so the next process
 			// (or the next restart) finds the entry closer to home.
 			for _, up := range c.tiers[:i] {
-				if !network && isNetwork(up) {
+				if !network && c.isNetwork(up) {
 					continue
 				}
 				c.storeTier(up, k, e)
 			}
 			c.count(func(s *Stats) {
 				s.Hits++
-				if isNetwork(t) {
+				if c.isNetwork(t) {
 					s.RemoteHits++
 				} else {
 					s.DiskHits++
@@ -216,7 +216,7 @@ func (c *Cache) lookup(k Key, network bool) (Entry, bool) {
 			c.count(func(s *Stats) { s.Corrupt++ })
 		case LoadUnavailable:
 			c.count(func(s *Stats) {
-				if isNetwork(t) {
+				if c.isNetwork(t) {
 					s.RemoteErrs++
 				} else {
 					s.DiskErrs++
@@ -239,7 +239,7 @@ func (c *Cache) store(k Key, e Entry, network bool) {
 	c.mem.Store(k, e)
 	c.count(func(s *Stats) { s.Stores++ })
 	for _, t := range c.tiers {
-		if !network && isNetwork(t) {
+		if !network && c.isNetwork(t) {
 			continue
 		}
 		c.storeTier(t, k, e)
@@ -250,7 +250,7 @@ func (c *Cache) store(k Key, e Entry, network bool) {
 func (c *Cache) storeTier(t Tier, k Key, e Entry) {
 	if err := t.Store(k, e); err != nil {
 		c.count(func(s *Stats) {
-			if isNetwork(t) {
+			if c.isNetwork(t) {
 				s.RemoteErrs++
 			} else {
 				s.DiskErrs++

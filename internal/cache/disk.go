@@ -80,16 +80,12 @@ type diskTier struct {
 	evictions int64
 }
 
-// NewDiskTier opens the on-disk tier rooted at dir, creating the directory
-// if missing.
-func NewDiskTier(dir string) (Tier, error) { return NewBoundedDiskTier(dir, 0) }
-
-// NewBoundedDiskTier is NewDiskTier with a size budget: once the tier's
-// .pt files exceed maxBytes, stores evict the least-recently-used
-// entries (oldest access time first) until the tier fits again.
-// maxBytes <= 0 means unbounded. The budget is enforced per store, so
-// the tier can briefly hold one entry over it.
-func NewBoundedDiskTier(dir string, maxBytes int64) (Tier, error) {
+// newDiskTier opens the on-disk tier rooted at dir, creating the directory
+// if missing. Once the tier's .pt files exceed maxBytes, stores evict the
+// least-recently-used entries (oldest access time first) until the tier
+// fits again. maxBytes <= 0 means unbounded. The budget is enforced per
+// store, so the tier can briefly hold one entry over it.
+func newDiskTier(dir string, maxBytes int64) (*diskTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: disk tier: %w", err)
 	}

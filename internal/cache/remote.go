@@ -55,9 +55,9 @@ type remoteTier struct {
 	downs     int64 // up->down transitions
 }
 
-// NewRemoteTier returns a tier backed by the daosd at peer (host:port or an
+// newRemoteTier returns a tier backed by the daosd at peer (host:port or an
 // http:// URL).
-func NewRemoteTier(peer string, o RemoteOptions) Tier {
+func newRemoteTier(peer string, o RemoteOptions) *remoteTier {
 	base := strings.TrimSuffix(peer, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -78,8 +78,6 @@ func NewRemoteTier(peer string, o RemoteOptions) Tier {
 		probeMax:  o.ProbeMax,
 	}
 }
-
-func (t *remoteTier) networkTier() {}
 
 func (t *remoteTier) Name() string { return "remote" }
 

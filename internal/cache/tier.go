@@ -6,8 +6,8 @@ import (
 )
 
 // Tier is one backing level of the Cache. The Cache consults its tiers in
-// order (memory LRU, then disk, then remote peer, then Options.Tiers) and
-// hydrates upward on a hit, so lower tiers fill the faster ones above them.
+// order (memory LRU, then disk, then remote peer) and hydrates upward on a
+// hit, so lower tiers fill the faster ones above them.
 //
 // A Tier is an accelerator, never a system of record: Load must express
 // every failure as a LoadResult (a miss variant), and Store is best-effort
@@ -15,8 +15,8 @@ import (
 // Implementations must be safe for concurrent use.
 type Tier interface {
 	// Name identifies the tier in diagnostics. The Cache attributes stats
-	// by name: "disk" feeds the disk counters; network tiers feed the
-	// remote ones.
+	// by tier: the remote tier feeds the remote counters, every other tier
+	// the disk ones.
 	Name() string
 	// Load returns the entry for k and how the lookup resolved.
 	Load(k Key) (Entry, LoadResult)
@@ -44,20 +44,6 @@ const (
 	// down and re-probes with backoff before answering this again.
 	LoadUnavailable
 )
-
-// networkTier marks tiers that cross the network. Cache.GetLocal and
-// Cache.PutLocal skip them, which is what keeps a daosd serving its own
-// /v1/cache endpoints from forwarding lookups to its peer in a loop.
-type networkTier interface {
-	networkTier()
-}
-
-// isNetwork reports whether t crosses the network. Tiers supplied through
-// Options.Tiers by other packages are treated as local.
-func isNetwork(t Tier) bool {
-	_, ok := t.(networkTier)
-	return ok
-}
 
 // node is one memory-tier slot; list elements hold *node.
 type node struct {

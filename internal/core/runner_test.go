@@ -246,3 +246,22 @@ func TestPointSeedDerivation(t *testing.T) {
 		t.Fatal("base seed does not decorrelate points")
 	}
 }
+
+// TestShutdownWithDatagramInFlight pins a shutdown race: at seed 3701 the
+// 1-node "daos SX" point of the easy grid ends with a pool-service datagram
+// still on the wire when Testbed.Shutdown closes the fabric mailboxes. The
+// datagram must be dropped and the point must complete.
+func TestShutdownWithDatagramInFlight(t *testing.T) {
+	_, jobs := Decompose([]Config{{Workload: "easy", Nodes: []int{1}, Variants: EasyVariants(), Seed: 3701}})
+	j := jobs[2]
+	if j.Variant.Label != "daos SX" || j.Nodes != 1 {
+		t.Fatalf("job 2 is %q at %d nodes, want daos SX at 1", j.Variant.Label, j.Nodes)
+	}
+	pt := j.Execute()
+	if pt.Err != "" {
+		t.Fatalf("point failed: %s", pt.Err)
+	}
+	if pt.WriteGiBs <= 0 || pt.ReadGiBs <= 0 {
+		t.Fatalf("point measured nothing: write %v, read %v GiB/s", pt.WriteGiBs, pt.ReadGiBs)
+	}
+}

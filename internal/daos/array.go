@@ -187,6 +187,3 @@ func (a *Array) Size(p *sim.Proc) (int64, error) {
 	}
 	return max, nil
 }
-
-// Punch removes the array object.
-func (a *Array) Punch(p *sim.Proc) error { return a.Obj.Punch(p) }

@@ -82,12 +82,6 @@ func NewClient(s *sim.Sim, f *fabric.Fabric, node *fabric.Node, reg Registry, po
 	}
 }
 
-// SetCosts overrides the client cost model (ablations).
-func (c *Client) SetCosts(costs Costs) { c.costs = costs }
-
-// Node returns the client's fabric node.
-func (c *Client) Node() *fabric.Node { return c.node }
-
 // Pool is an open pool connection.
 type Pool struct {
 	client *Client
@@ -454,35 +448,6 @@ func (o *Object) Fetch(p *sim.Proc, reads []engine.ReadExt, epoch vos.Epoch) ([]
 		remaining = next
 		p.Sleep(failoverBackoff)
 	}
-}
-
-// Punch deletes the object on every shard.
-func (o *Object) Punch(p *sim.Proc) error {
-	if err := o.refresh(); err != nil {
-		return err
-	}
-	c := o.cont.Pool.client
-	wg := sim.NewWaitGroup(c.sim)
-	var firstErr error
-	seen := map[int]bool{}
-	for _, sh := range o.Layout.Shards {
-		for _, tgt := range sh {
-			if seen[tgt] {
-				continue
-			}
-			seen[tgt] = true
-			tgt := tgt
-			wg.Go("daos-punch", func(cp *sim.Proc) {
-				resp := o.call(cp, tgt, &engine.PunchReq{Cont: o.cont.UUID, OID: o.OID, Target: tgt})
-				if resp.Err != nil && firstErr == nil {
-					firstErr = resp.Err
-				}
-			})
-			p.Sleep(c.costs.RPCIssue)
-		}
-	}
-	wg.Wait(p)
-	return firstErr
 }
 
 // ListDkeys enumerates dkeys across all shards, merged and sorted.

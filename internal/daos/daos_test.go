@@ -84,12 +84,6 @@ func TestKVRoundTrip(t *testing.T) {
 		if err != nil || len(keys) != 3 || keys[0] != "alpha" {
 			t.Errorf("List = %v, %v", keys, err)
 		}
-		if err := kv.Remove(p, "beta"); err != nil {
-			t.Error(err)
-		}
-		if _, err := kv.Get(p, "beta"); err == nil {
-			t.Error("removed key still readable")
-		}
 	})
 }
 
@@ -281,25 +275,6 @@ func TestSXLayoutSpansAllTargets(t *testing.T) {
 		want := tb.Cfg.ServerNodes * tb.Cfg.EnginesPerNode * tb.Cfg.TargetsPerEngine
 		if obj.Layout.NumShards() != want {
 			t.Errorf("SX shards = %d, want %d", obj.Layout.NumShards(), want)
-		}
-	})
-}
-
-func TestPunchRemovesData(t *testing.T) {
-	withContainer(t, placement.S2, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
-		arr, _ := ct.OpenArray(p, ct.AllocOID(placement.S2))
-		arr.Write(p, 0, []byte("data"))
-		if err := arr.Punch(p); err != nil {
-			t.Error(err)
-			return
-		}
-		got, err := arr.Read(p, 0, 4)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !bytes.Equal(got, make([]byte, 4)) {
-			t.Errorf("punched read = %q", got)
 		}
 	})
 }

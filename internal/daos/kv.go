@@ -68,21 +68,6 @@ func (kv *KV) GetAt(p *sim.Proc, key string, epoch vos.Epoch) ([]byte, error) {
 	return data[0], nil
 }
 
-// Remove deletes key (punches its dkey on the owning shard).
-func (kv *KV) Remove(p *sim.Proc, key string) error {
-	shard := kv.Obj.shardForDkey([]byte(key))
-	c := kv.Obj.cont.Pool.client
-	p.Sleep(c.costs.RPCIssue)
-	tgt := kv.Obj.Layout.Shards[shard][0]
-	resp := kv.Obj.call(p, tgt, &engine.PunchReq{
-		Cont:   kv.Obj.cont.UUID,
-		OID:    kv.Obj.OID,
-		Target: tgt,
-		Dkey:   []byte(key),
-	})
-	return resp.Err
-}
-
 // List returns every key, merged across shards and sorted.
 func (kv *KV) List(p *sim.Proc) ([]string, error) {
 	dkeys, err := kv.Obj.ListDkeys(p)

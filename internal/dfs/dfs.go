@@ -32,7 +32,6 @@ var (
 	ErrExist    = errors.New("dfs: file exists")
 	ErrNotDir   = errors.New("dfs: not a directory")
 	ErrIsDir    = errors.New("dfs: is a directory")
-	ErrNotEmpty = errors.New("dfs: directory not empty")
 	ErrBadMount = errors.New("dfs: not a DFS container")
 )
 
@@ -269,7 +268,7 @@ func (fs *FS) Create(p *sim.Proc, filePath string, opts CreateOpts) (*File, erro
 	if err := fs.storeEntry(p, parent, name, ent); err != nil {
 		return nil, err
 	}
-	return fs.openEntry(p, filePath, ent)
+	return fs.openEntry(p, ent)
 }
 
 // Open opens an existing file.
@@ -288,7 +287,7 @@ func (fs *FS) Open(p *sim.Proc, filePath string) (*File, error) {
 	if ent.Type != TypeFile {
 		return nil, fmt.Errorf("%w: %s", ErrIsDir, filePath)
 	}
-	return fs.openEntry(p, filePath, ent)
+	return fs.openEntry(p, ent)
 }
 
 // OpenOrCreate opens the file, creating it when absent (O_CREAT without
@@ -304,16 +303,14 @@ func (fs *FS) OpenOrCreate(p *sim.Proc, filePath string, opts CreateOpts) (*File
 	return f, err
 }
 
-func (fs *FS) openEntry(p *sim.Proc, filePath string, ent entry) (*File, error) {
+func (fs *FS) openEntry(p *sim.Proc, ent entry) (*File, error) {
 	obj, err := fs.cont.OpenObject(p, ent.OID)
 	if err != nil {
 		return nil, err
 	}
 	return &File{
-		fs:   fs,
-		path: filePath,
-		ent:  ent,
-		arr:  &daos.Array{Obj: obj, ChunkSize: ent.Chunk},
+		ent: ent,
+		arr: &daos.Array{Obj: obj, ChunkSize: ent.Chunk},
 	}, nil
 }
 
@@ -345,7 +342,7 @@ func (fs *FS) Stat(p *sim.Proc, anyPath string) (Info, error) {
 	}
 	info := Info{Name: name, Type: ent.Type, Class: ent.Class, Chunk: ent.Chunk}
 	if ent.Type == TypeFile {
-		f, err := fs.openEntry(p, anyPath, ent)
+		f, err := fs.openEntry(p, ent)
 		if err != nil {
 			return Info{}, err
 		}
@@ -405,89 +402,11 @@ func (fs *FS) openDir(p *sim.Proc, dirPath string) (*daos.Object, error) {
 	return fs.cont.OpenObject(p, ent.OID)
 }
 
-// Unlink removes a file or empty directory.
-func (fs *FS) Unlink(p *sim.Proc, anyPath string) error {
-	parent, name, err := fs.lookupDir(p, anyPath)
-	if err != nil {
-		return err
-	}
-	if name == "" {
-		return ErrIsDir
-	}
-	ent, err := fs.fetchEntry(p, parent, name)
-	if err != nil {
-		return err
-	}
-	if ent.Type == TypeDir {
-		dir, err := fs.cont.OpenObject(p, ent.OID)
-		if err != nil {
-			return err
-		}
-		children, err := dir.ListDkeys(p)
-		if err != nil {
-			return err
-		}
-		if len(children) > 0 {
-			return fmt.Errorf("%w: %s", ErrNotEmpty, anyPath)
-		}
-	}
-	// Punch the data object, then drop the directory record.
-	obj, err := fs.cont.OpenObject(p, ent.OID)
-	if err != nil {
-		return err
-	}
-	if err := obj.Punch(p); err != nil {
-		return err
-	}
-	return fs.punchDkey(p, parent, name)
-}
-
-// punchDkey removes a directory record (a dkey punch on the parent object).
-func (fs *FS) punchDkey(p *sim.Proc, dir *daos.Object, name string) error {
-	kv := daos.KV{Obj: dir}
-	return kv.Remove(p, name)
-}
-
-// Rename moves an entry to a new path (both parents must exist).
-func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
-	oldParent, oldName, err := fs.lookupDir(p, oldPath)
-	if err != nil {
-		return err
-	}
-	if oldName == "" {
-		return ErrIsDir
-	}
-	ent, err := fs.fetchEntry(p, oldParent, oldName)
-	if err != nil {
-		return err
-	}
-	newParent, newName, err := fs.lookupDir(p, newPath)
-	if err != nil {
-		return err
-	}
-	if newName == "" {
-		return ErrIsDir
-	}
-	if _, err := fs.fetchEntry(p, newParent, newName); err == nil {
-		return fmt.Errorf("%w: %s", ErrExist, newPath)
-	}
-	ent.Mtime = p.Now().Nanoseconds()
-	if err := fs.storeEntry(p, newParent, newName, ent); err != nil {
-		return err
-	}
-	return fs.punchDkey(p, oldParent, oldName)
-}
-
 // File is an open DFS file.
 type File struct {
-	fs   *FS
-	path string
-	ent  entry
-	arr  *daos.Array
+	ent entry
+	arr *daos.Array
 }
-
-// Path returns the path the file was opened with.
-func (f *File) Path() string { return f.path }
 
 // Class returns the file's object class.
 func (f *File) Class() placement.ClassID { return f.ent.Class }

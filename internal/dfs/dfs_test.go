@@ -162,58 +162,6 @@ func TestFileThroughNonDirFails(t *testing.T) {
 	})
 }
 
-func TestUnlink(t *testing.T) {
-	withFS(t, func(p *sim.Proc, tb *cluster.Testbed, fs *dfs.FS) {
-		f, _ := fs.Create(p, "/doomed", dfs.CreateOpts{})
-		f.WriteAt(p, 0, bytes.Repeat([]byte("x"), 4096))
-		if err := fs.Unlink(p, "/doomed"); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := fs.Open(p, "/doomed"); !errors.Is(err, dfs.ErrNotExist) {
-			t.Errorf("err after unlink = %v", err)
-		}
-	})
-}
-
-func TestUnlinkNonEmptyDir(t *testing.T) {
-	withFS(t, func(p *sim.Proc, tb *cluster.Testbed, fs *dfs.FS) {
-		fs.MkdirAll(p, "/d")
-		fs.Create(p, "/d/child", dfs.CreateOpts{})
-		if err := fs.Unlink(p, "/d"); !errors.Is(err, dfs.ErrNotEmpty) {
-			t.Errorf("err = %v", err)
-		}
-		fs.Unlink(p, "/d/child")
-		if err := fs.Unlink(p, "/d"); err != nil {
-			t.Errorf("empty dir unlink: %v", err)
-		}
-	})
-}
-
-func TestRename(t *testing.T) {
-	withFS(t, func(p *sim.Proc, tb *cluster.Testbed, fs *dfs.FS) {
-		f, _ := fs.Create(p, "/old", dfs.CreateOpts{})
-		f.WriteAt(p, 0, []byte("payload"))
-		fs.MkdirAll(p, "/sub")
-		if err := fs.Rename(p, "/old", "/sub/new"); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := fs.Open(p, "/old"); !errors.Is(err, dfs.ErrNotExist) {
-			t.Errorf("old path err = %v", err)
-		}
-		g, err := fs.Open(p, "/sub/new")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		data, _ := g.ReadAt(p, 0, 7)
-		if string(data) != "payload" {
-			t.Errorf("renamed data = %q", data)
-		}
-	})
-}
-
 func TestPerFileClassOverride(t *testing.T) {
 	withFS(t, func(p *sim.Proc, tb *cluster.Testbed, fs *dfs.FS) {
 		f, err := fs.Create(p, "/wide", dfs.CreateOpts{Class: placement.SX})

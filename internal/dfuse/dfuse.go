@@ -74,9 +74,6 @@ func NewMount(s *sim.Sim, node *fabric.Node, fsys *dfs.FS, costs Costs) *Mount {
 	}
 }
 
-// FS exposes the underlying filesystem (for verification in tests).
-func (m *Mount) FS() *dfs.FS { return m.fs }
-
 // request charges one FUSE request around op.
 func (m *Mount) request(p *sim.Proc, copyBytes int64, op func(p *sim.Proc) error) error {
 	m.Requests++
@@ -238,17 +235,6 @@ func (fd *File) PreadInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return nil
 }
 
-// Size stats the file through the mount.
-func (fd *File) Size(p *sim.Proc) (int64, error) {
-	var size int64
-	err := fd.mount.request(p, 0, func(p *sim.Proc) error {
-		var err error
-		size, err = fd.f.Size(p)
-		return err
-	})
-	return size, err
-}
-
 // Fsync flushes (a FUSE round trip; DFS itself is already durable).
 func (fd *File) Fsync(p *sim.Proc) error {
 	return fd.mount.request(p, 0, func(p *sim.Proc) error { return fd.f.Sync(p) })
@@ -257,25 +243,6 @@ func (fd *File) Fsync(p *sim.Proc) error {
 // Close releases the descriptor.
 func (fd *File) Close(p *sim.Proc) error {
 	return fd.mount.request(p, 0, func(p *sim.Proc) error { return fd.f.Close(p) })
-}
-
-// Stat resolves a path and returns its info.
-func (m *Mount) Stat(p *sim.Proc, path string) (dfs.Info, error) {
-	m.lookupCost(p, path)
-	var info dfs.Info
-	err := m.request(p, 0, func(p *sim.Proc) error {
-		var err error
-		info, err = m.fs.Stat(p, path)
-		return err
-	})
-	return info, err
-}
-
-// Unlink removes a path through the mount.
-func (m *Mount) Unlink(p *sim.Proc, path string) error {
-	m.lookupCost(p, path)
-	delete(m.dentry, path)
-	return m.request(p, 0, func(p *sim.Proc) error { return m.fs.Unlink(p, path) })
 }
 
 // Mkdir creates a directory through the mount.

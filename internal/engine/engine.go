@@ -60,16 +60,7 @@ type Config struct {
 	// Media is the engine's storage device parameters (one AppDirect
 	// interleave set per engine/socket on NEXTGenIO).
 	Media media.Params
-	// Bulk optionally adds an NVMe bulk tier. When set, array values of
-	// BulkThreshold bytes or more land on NVMe while small values and all
-	// metadata stay on SCM — DAOS's standard two-tier policy. The paper's
-	// testbed ran SCM-only, so the NEXTGenIO cluster config leaves this
-	// nil; the tiering tests exercise it.
-	Bulk *media.Params
-	// BulkThreshold is the minimum array value size routed to NVMe
-	// (DAOS defaults to 4 KiB). Zero means 4 KiB.
-	BulkThreshold int64
-	Costs         Costs
+	Costs Costs
 }
 
 // Engine is a running DAOS I/O engine.
@@ -78,7 +69,6 @@ type Engine struct {
 	sim     *sim.Sim
 	node    *fabric.Node
 	device  *media.Device
-	bulk    *media.Device // nil without an NVMe tier
 	targets []*target
 	epoch   vos.Epoch
 	down    bool
@@ -95,7 +85,6 @@ type Engine struct {
 
 // target is one VOS target: an xstream plus per-container VOS stores.
 type target struct {
-	id      int // global target ID
 	xstream *sim.Resource
 	conts   map[string]*vos.Container
 }
@@ -115,15 +104,8 @@ func New(s *sim.Sim, node *fabric.Node, cfg Config) *Engine {
 		node:   node,
 		device: media.NewDevice(s, cfg.Media),
 	}
-	if cfg.Bulk != nil {
-		e.bulk = media.NewDevice(s, *cfg.Bulk)
-		if e.cfg.BulkThreshold <= 0 {
-			e.cfg.BulkThreshold = 4 << 10
-		}
-	}
 	for t := 0; t < cfg.Targets; t++ {
 		e.targets = append(e.targets, &target{
-			id:      cfg.ID*cfg.Targets + t,
 			xstream: sim.NewResource(s, fmt.Sprintf("e%d/xs%d", cfg.ID, t), 1),
 			conts:   make(map[string]*vos.Container),
 		})
@@ -140,24 +122,6 @@ func (e *Engine) Node() *fabric.Node { return e.node }
 
 // Device returns the engine's SCM media device (for reporting).
 func (e *Engine) Device() *media.Device { return e.device }
-
-// BulkDevice returns the NVMe bulk device, or nil without a bulk tier.
-func (e *Engine) BulkDevice() *media.Device { return e.bulk }
-
-// tierSplit divides an update's bytes between SCM and the bulk tier: array
-// values at or above the threshold go to NVMe, everything else (small
-// values, single-value metadata) stays on persistent memory.
-func (e *Engine) tierSplit(writes []WriteExt) (scm, bulk int64) {
-	for _, w := range writes {
-		n := int64(len(w.Data))
-		if e.bulk != nil && !w.Single && n >= e.cfg.BulkThreshold {
-			bulk += n
-		} else {
-			scm += n
-		}
-	}
-	return scm, bulk
-}
 
 // SetDown marks the engine failed (failure injection); RPCs return
 // ErrEngineDown until it is cleared.
@@ -268,14 +232,6 @@ type FetchResp struct {
 	Data [][]byte
 }
 
-// PunchReq deletes an object or one dkey.
-type PunchReq struct {
-	Cont   string
-	OID    vos.ObjectID
-	Target int
-	Dkey   []byte // nil: punch whole object
-}
-
 // ListReq enumerates dkeys of a shard.
 type ListReq struct {
 	Cont   string
@@ -301,17 +257,6 @@ type SizeReq struct {
 // SizeResp reports the shard-local end-of-file.
 type SizeResp struct {
 	Bytes int64
-}
-
-// AggregateReq runs VOS aggregation on every container of a target.
-type AggregateReq struct {
-	Target int
-	Epoch  vos.Epoch
-}
-
-// AggregateResp reports reclaimed bytes.
-type AggregateResp struct {
-	Reclaimed int64
 }
 
 // reqSize estimates the on-wire size of a request for NIC charging.
@@ -348,14 +293,10 @@ func (e *Engine) handle(p *sim.Proc, req fabric.Request) fabric.Response {
 		return e.handleUpdate(p, body)
 	case *FetchReq:
 		return e.handleFetch(p, body)
-	case *PunchReq:
-		return e.handlePunch(p, body)
 	case *ListReq:
 		return e.handleList(p, body)
 	case *SizeReq:
 		return e.handleSize(p, body)
-	case *AggregateReq:
-		return e.handleAggregate(p, body)
 	default:
 		return fabric.Response{Err: fmt.Errorf("engine: unknown request %T", req.Body), Size: 64}
 	}
@@ -391,18 +332,10 @@ func (e *Engine) handleUpdate(p *sim.Proc, r *UpdateReq) fabric.Response {
 		p.Sleep(e.cfg.Costs.FirstTouchCost)
 	}
 	e.clientWrBytes += bytes
-	scmBytes, bulkBytes := e.tierSplit(r.Writes)
-	if err := e.device.Alloc(scmBytes); err != nil {
+	if err := e.device.Alloc(bytes); err != nil {
 		return fabric.Response{Err: err, Size: 64}
 	}
-	if bulkBytes > 0 {
-		if err := e.bulk.Alloc(bulkBytes); err != nil {
-			e.device.Free(scmBytes)
-			return fabric.Response{Err: err, Size: 64}
-		}
-		e.bulk.Write(p, bulkBytes)
-	}
-	e.device.Write(p, scmBytes)
+	e.device.Write(p, bytes)
 	return fabric.Response{Body: &UpdateResp{FirstTouch: first, Epoch: epoch}, Size: 64}
 }
 
@@ -429,17 +362,17 @@ func (e *Engine) handleFetch(p *sim.Proc, r *FetchReq) fabric.Response {
 	// whether its akey is present — never on materialized buffers — so the
 	// zero-copy (Dst) and no-materialize (Discard) modes charge exactly what
 	// the allocating path charges: a present array read contributes Length
-	// to device bytes, tier routing, and response size whether its bytes
-	// land in a fresh buffer, the caller's span, or nowhere.
+	// to device bytes and response size whether its bytes land in a fresh
+	// buffer, the caller's span, or nowhere.
 	resp := &FetchResp{Data: make([][]byte, len(r.Reads))}
-	var bytes, bulkBytes int64
+	var bytes int64
 	size := int64(64)
 	for i, rd := range r.Reads {
 		p.Sleep(e.cfg.Costs.PerExtentCost)
 		if rd.Single {
 			v, err := cont.FetchSingle(r.OID, rd.Dkey, rd.Akey, epoch)
 			if err != nil {
-				if errors.Is(err, vos.ErrNotFound) || errors.Is(err, vos.ErrPunched) {
+				if errors.Is(err, vos.ErrNotFound) {
 					resp.Data[i] = nil
 					continue
 				}
@@ -467,7 +400,7 @@ func (e *Engine) handleFetch(p *sim.Proc, r *FetchReq) fabric.Response {
 			}
 		}
 		if err != nil {
-			if errors.Is(err, vos.ErrNotFound) || errors.Is(err, vos.ErrPunched) {
+			if errors.Is(err, vos.ErrNotFound) {
 				resp.Data[i] = nil
 				continue
 			}
@@ -475,43 +408,10 @@ func (e *Engine) handleFetch(p *sim.Proc, r *FetchReq) fabric.Response {
 		}
 		bytes += int64(rd.Length)
 		size += int64(rd.Length)
-		if e.bulk != nil && int64(rd.Length) >= e.cfg.BulkThreshold {
-			bulkBytes += int64(rd.Length)
-		}
-	}
-	if e.bulk != nil {
-		// Split the fetch between tiers with the same routing rule the
-		// writes used.
-		e.bulk.Read(p, bulkBytes)
-		bytes -= bulkBytes
 	}
 	e.device.Read(p, bytes)
 	e.clientRdBytes += size - 64
 	return fabric.Response{Body: resp, Size: size}
-}
-
-func (e *Engine) handlePunch(p *sim.Proc, r *PunchReq) fabric.Response {
-	t, err := e.localTarget(r.Target)
-	if err != nil {
-		return fabric.Response{Err: err, Size: 64}
-	}
-	t.xstream.Acquire(p)
-	defer t.xstream.Release()
-	p.Sleep(e.cfg.Costs.RPCCost)
-	cont := t.cont(r.Cont, false)
-	if cont == nil {
-		return fabric.Response{Body: &UpdateResp{}, Size: 64} // nothing to punch
-	}
-	epoch := e.nextEpoch()
-	if r.Dkey == nil {
-		err = cont.PunchObject(r.OID, epoch)
-	} else {
-		err = cont.PunchDkey(r.OID, r.Dkey, epoch)
-	}
-	if err != nil && !errors.Is(err, vos.ErrNotFound) {
-		return fabric.Response{Err: err, Size: 64}
-	}
-	return fabric.Response{Body: &UpdateResp{Epoch: epoch}, Size: 64}
 }
 
 func (e *Engine) handleList(p *sim.Proc, r *ListReq) fabric.Response {
@@ -526,7 +426,7 @@ func (e *Engine) handleList(p *sim.Proc, r *ListReq) fabric.Response {
 	if cont == nil {
 		return fabric.Response{Body: &ListResp{}, Size: 64}
 	}
-	dkeys, err := cont.ListDkeys(r.OID, vos.EpochMax)
+	dkeys, err := cont.ListDkeys(r.OID)
 	if err != nil && !errors.Is(err, vos.ErrNotFound) {
 		return fabric.Response{Err: err, Size: 64}
 	}
@@ -549,7 +449,7 @@ func (e *Engine) handleSize(p *sim.Proc, r *SizeReq) fabric.Response {
 	if cont == nil {
 		return fabric.Response{Body: &SizeResp{}, Size: 64}
 	}
-	dkeys, err := cont.ListDkeys(r.OID, vos.EpochMax)
+	dkeys, err := cont.ListDkeys(r.OID)
 	if err != nil {
 		if errors.Is(err, vos.ErrNotFound) {
 			return fabric.Response{Body: &SizeResp{}, Size: 64}
@@ -569,23 +469,6 @@ func (e *Engine) handleSize(p *sim.Proc, r *SizeReq) fabric.Response {
 		}
 	}
 	return fabric.Response{Body: &SizeResp{Bytes: max}, Size: 64}
-}
-
-func (e *Engine) handleAggregate(p *sim.Proc, r *AggregateReq) fabric.Response {
-	t, err := e.localTarget(r.Target)
-	if err != nil {
-		return fabric.Response{Err: err, Size: 64}
-	}
-	t.xstream.Acquire(p)
-	defer t.xstream.Release()
-	var reclaimed int64
-	for _, cont := range t.conts {
-		reclaimed += cont.Aggregate(r.Epoch)
-	}
-	if reclaimed > 0 {
-		e.device.Free(reclaimed)
-	}
-	return fabric.Response{Body: &AggregateResp{Reclaimed: reclaimed}, Size: 64}
 }
 
 // chunkPrefix and chunkDigits give a chunk dkey's canonical form:
@@ -640,31 +523,6 @@ func decodeCanonicalChunk(dk []byte) (int64, bool) {
 		idx = idx<<4 | int64(d)
 	}
 	return idx, true
-}
-
-// NumContainers reports how many distinct containers hold data on this
-// engine (for tests and reporting).
-func (e *Engine) NumContainers() int {
-	seen := map[string]bool{}
-	for _, t := range e.targets {
-		for uuid := range t.conts {
-			seen[uuid] = true
-		}
-	}
-	return len(seen)
-}
-
-// TargetObjects reports the number of object shards on a global target ID.
-func (e *Engine) TargetObjects(global int) int {
-	t, err := e.localTarget(global)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, c := range t.conts {
-		n += c.NumObjects()
-	}
-	return n
 }
 
 // XstreamUtilisation returns the mean utilisation across the engine's

@@ -131,7 +131,20 @@ func TestEngineDown(t *testing.T) {
 	}
 }
 
-func TestPunchAndList(t *testing.T) {
+// TestNoTierWithoutBulkDevice pins that every update byte is allocated and
+// written on the engine's SCM device: the engine has no second tier.
+func TestNoTierWithoutBulkDevice(t *testing.T) {
+	r := newRig()
+	r.call(t, &UpdateReq{
+		Cont: "c0", OID: rigOID, Target: 0,
+		Writes: []WriteExt{{Dkey: ChunkDkey(0), Akey: []byte("data"), Data: make([]byte, 1<<20)}},
+	})
+	if got := r.eng.Device().Used(); got != 1<<20 {
+		t.Fatalf("SCM used = %d; everything must stay on SCM without a tier", got)
+	}
+}
+
+func TestList(t *testing.T) {
 	r := newRig()
 	for i := int64(0); i < 3; i++ {
 		r.call(t, &UpdateReq{
@@ -142,22 +155,6 @@ func TestPunchAndList(t *testing.T) {
 	resp := r.call(t, &ListReq{Cont: "c0", OID: rigOID, Target: 0})
 	if n := len(resp.Body.(*ListResp).Dkeys); n != 3 {
 		t.Fatalf("dkeys = %d, want 3", n)
-	}
-	r.call(t, &PunchReq{Cont: "c0", OID: rigOID, Target: 0, Dkey: ChunkDkey(1)})
-	resp = r.call(t, &ListReq{Cont: "c0", OID: rigOID, Target: 0})
-	if n := len(resp.Body.(*ListResp).Dkeys); n != 2 {
-		t.Fatalf("dkeys after dkey punch = %d, want 2", n)
-	}
-	r.call(t, &PunchReq{Cont: "c0", OID: rigOID, Target: 0})
-	resp = r.call(t, &FetchReq{
-		Cont: "c0", OID: rigOID, Target: 0,
-		Reads: []ReadExt{{Dkey: ChunkDkey(0), Akey: []byte("data"), Offset: 0, Length: 1}},
-	})
-	if resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	if resp.Body.(*FetchResp).Data[0] != nil {
-		t.Fatal("punched object still readable")
 	}
 }
 
@@ -242,30 +239,6 @@ func TestXstreamSerializesTarget(t *testing.T) {
 	}
 }
 
-func TestAggregateReclaimsMedia(t *testing.T) {
-	r := newRig()
-	for e := 0; e < 4; e++ {
-		r.call(t, &UpdateReq{
-			Cont: "c0", OID: rigOID, Target: 0,
-			Writes: []WriteExt{{Dkey: ChunkDkey(0), Akey: []byte("data"), Offset: 0, Data: make([]byte, 1<<20)}},
-		})
-	}
-	used := r.eng.Device().Used()
-	if used != 4<<20 {
-		t.Fatalf("used = %d", used)
-	}
-	resp := r.call(t, &AggregateReq{Target: 0, Epoch: vos.EpochMax})
-	if resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	if got := resp.Body.(*AggregateResp).Reclaimed; got != 3<<20 {
-		t.Fatalf("reclaimed = %d, want 3 MiB", got)
-	}
-	if r.eng.Device().Used() != 1<<20 {
-		t.Fatalf("device used = %d after aggregation", r.eng.Device().Used())
-	}
-}
-
 func TestChunkDkeyRoundTrip(t *testing.T) {
 	for _, idx := range []int64{0, 1, 255, 1 << 40} {
 		got, ok := DecodeChunkDkey(ChunkDkey(idx))
@@ -312,11 +285,5 @@ func TestCountersAndStats(t *testing.T) {
 	})
 	if r.eng.RPCs != 1 {
 		t.Fatalf("RPCs = %d", r.eng.RPCs)
-	}
-	if r.eng.NumContainers() != 1 {
-		t.Fatalf("containers = %d", r.eng.NumContainers())
-	}
-	if r.eng.TargetObjects(0) != 1 {
-		t.Fatalf("objects = %d", r.eng.TargetObjects(0))
 	}
 }

@@ -43,9 +43,8 @@ func DefaultConfig() Config {
 
 // Fabric is the interconnect instance.
 type Fabric struct {
-	sim   *sim.Sim
-	cfg   Config
-	nodes []*Node
+	sim *sim.Sim
+	cfg Config
 
 	// Messages counts every message placed on the wire.
 	Messages int64
@@ -61,16 +60,11 @@ func New(s *sim.Sim, cfg Config) *Fabric {
 	return &Fabric{sim: s, cfg: cfg}
 }
 
-// Sim returns the owning simulator.
-func (f *Fabric) Sim() *sim.Sim { return f.sim }
-
 // Config returns the fabric configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
 // Node is a machine on the fabric with a full-duplex NIC.
 type Node struct {
-	fabric   *Fabric
-	id       int
 	name     string
 	tx, rx   *sim.SharedBW
 	services map[string]Handler
@@ -84,32 +78,14 @@ func (f *Fabric) AddNode(name string) *Node {
 
 // AddNodeBW registers a node with an explicit NIC bandwidth.
 func (f *Fabric) AddNodeBW(name string, nicBW float64) *Node {
-	n := &Node{
-		fabric:   f,
-		id:       len(f.nodes),
+	return &Node{
 		name:     name,
 		tx:       sim.NewSharedBW(f.sim, name+"/tx", nicBW, f.cfg.FlowBW),
 		rx:       sim.NewSharedBW(f.sim, name+"/rx", nicBW, f.cfg.FlowBW),
 		services: make(map[string]Handler),
 		mailbox:  sim.NewQueue(f.sim, name+"/mbox"),
 	}
-	f.nodes = append(f.nodes, n)
-	return n
 }
-
-// Node returns the node with the given id.
-func (f *Fabric) Node(id int) *Node {
-	if id < 0 || id >= len(f.nodes) {
-		panic(fmt.Sprintf("fabric: no node %d", id))
-	}
-	return f.nodes[id]
-}
-
-// NumNodes returns the number of registered nodes.
-func (f *Fabric) NumNodes() int { return len(f.nodes) }
-
-// ID returns the node's fabric identifier.
-func (n *Node) ID() int { return n.id }
 
 // Name returns the node's name.
 func (n *Node) Name() string { return n.name }
@@ -181,13 +157,14 @@ func (f *Fabric) Move(p *sim.Proc, src, dst *Node, size int64) {
 
 // Datagram is a one-way message delivered to a node mailbox.
 type Datagram struct {
-	From int
 	Body interface{}
 }
 
 // Send delivers body one-way from src to dst's mailbox. The sender is only
 // charged TX serialization; delivery happens after the wire latency without
-// blocking the sender (buffered, credit-based transport).
+// blocking the sender (buffered, credit-based transport). A datagram whose
+// destination mailbox has closed by then is dropped, as a real fabric drops
+// one sent to a stopped node.
 func (f *Fabric) Send(p *sim.Proc, src, dst *Node, body interface{}, size int64) {
 	f.Messages++
 	f.Bytes += size
@@ -195,8 +172,12 @@ func (f *Fabric) Send(p *sim.Proc, src, dst *Node, body interface{}, size int64)
 	if src != dst {
 		src.tx.Transfer(p, wire)
 	}
-	d := Datagram{From: src.id, Body: body}
-	f.sim.After(f.cfg.WireLatency, func() { dst.mailbox.Send(d) })
+	d := Datagram{Body: body}
+	f.sim.After(f.cfg.WireLatency, func() {
+		if !dst.mailbox.Closed() {
+			dst.mailbox.Send(d)
+		}
+	})
 }
 
 // Mailbox returns the node's datagram mailbox.

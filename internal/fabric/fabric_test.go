@@ -159,6 +159,24 @@ func TestSendDelivery(t *testing.T) {
 	}
 }
 
+// TestSendToClosedMailboxIsDropped pins that a datagram still on the wire
+// when its destination's mailbox closes is dropped, not delivered into the
+// closed queue (which panics).
+func TestSendToClosedMailboxIsDropped(t *testing.T) {
+	s := sim.New(1)
+	f := New(s, testConfig())
+	a := f.AddNode("a")
+	b := f.AddNode("b")
+	s.Spawn("send", func(p *sim.Proc) {
+		f.Send(p, a, b, 1, 1000)
+		b.Mailbox().Close() // before the wire latency elapses
+	})
+	s.Run()
+	if n := b.Mailbox().Len(); n != 0 {
+		t.Fatalf("closed mailbox received %d datagrams, want 0", n)
+	}
+}
+
 func TestSendDoesNotBlockOnReceiver(t *testing.T) {
 	// One-way sends complete at TX serialization speed even if nobody reads.
 	s := sim.New(1)

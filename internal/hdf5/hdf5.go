@@ -37,7 +37,6 @@ type VFD interface {
 	WriteAt(p *sim.Proc, off int64, data []byte) error
 	ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error)
 	ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
-	Size(p *sim.Proc) (int64, error)
 	Sync(p *sim.Proc) error
 	Close(p *sim.Proc) error
 }
@@ -58,9 +57,8 @@ func (v *posixVFD) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
 func (v *posixVFD) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return v.fd.PreadInto(p, off, n, dst)
 }
-func (v *posixVFD) Size(p *sim.Proc) (int64, error) { return v.fd.Size(p) }
-func (v *posixVFD) Sync(p *sim.Proc) error          { return v.fd.Fsync(p) }
-func (v *posixVFD) Close(p *sim.Proc) error         { return v.fd.Close(p) }
+func (v *posixVFD) Sync(p *sim.Proc) error  { return v.fd.Fsync(p) }
+func (v *posixVFD) Close(p *sim.Proc) error { return v.fd.Close(p) }
 
 // Format constants.
 const (

@@ -1,7 +1,7 @@
 // Package integration_test exercises whole-stack scenarios that cross
 // package boundaries: data written through one interface read through
-// another, failure injection under live traffic, aggregation, and
-// end-to-end determinism.
+// another, failure injection under live traffic, and end-to-end
+// determinism.
 package integration_test
 
 import (
@@ -13,7 +13,6 @@ import (
 	"daosim/internal/daos"
 	"daosim/internal/dfs"
 	"daosim/internal/dfuse"
-	"daosim/internal/engine"
 	"daosim/internal/fabric"
 	"daosim/internal/hdf5"
 	"daosim/internal/ior"
@@ -21,7 +20,6 @@ import (
 	"daosim/internal/mpiio"
 	"daosim/internal/placement"
 	"daosim/internal/sim"
-	"daosim/internal/vos"
 )
 
 func TestCrossInterfaceVisibility(t *testing.T) {
@@ -162,56 +160,6 @@ func TestIORSurvivesEngineExclusionBetweenPhases(t *testing.T) {
 		}
 		if res.VerifyErrors != 0 {
 			t.Errorf("verify errors after exclusion: %d", res.VerifyErrors)
-		}
-	})
-}
-
-func TestAggregationUnderOverwriteWorkload(t *testing.T) {
-	// Repeated overwrites accumulate epochs; engine-side aggregation
-	// reclaims the history without changing visible data.
-	tb := cluster.New(cluster.Small())
-	client := tb.NewClient(tb.ClientNode(0), 1)
-	tb.Run(func(p *sim.Proc) {
-		pool, _ := client.CreatePool(p, "p0")
-		ct, _ := pool.CreateContainer(p, "c0", daos.ContProps{Class: placement.S1})
-		arr, err := ct.OpenArray(p, ct.AllocOID(placement.S1))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		final := bytes.Repeat([]byte{9}, 1<<20)
-		for v := 0; v < 4; v++ {
-			data := bytes.Repeat([]byte{byte(v)}, 1<<20)
-			if v == 3 {
-				data = final
-			}
-			if err := arr.Write(p, 0, data); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		before := tb.Engines[arr.Obj.Layout.Shards[0][0]/tb.Cfg.TargetsPerEngine].Device().Used()
-		if before != 4<<20 {
-			t.Errorf("pre-aggregation used = %d", before)
-		}
-		// Aggregate every target of the owning engine through the RPC.
-		target := arr.Obj.Layout.Shards[0][0]
-		engID := target / tb.Cfg.TargetsPerEngine
-		eng := tb.Engines[engID]
-		resp := tb.Fabric.Call(p, tb.ClientNode(0), eng.Node(), engine.ServiceName(engID), fabric.Request{
-			Body: &engine.AggregateReq{Target: target, Epoch: vos.EpochMax},
-			Size: 64,
-		})
-		if resp.Err != nil {
-			t.Error(resp.Err)
-			return
-		}
-		if got := resp.Body.(*engine.AggregateResp).Reclaimed; got != 3<<20 {
-			t.Errorf("reclaimed = %d, want 3 MiB", got)
-		}
-		got, err := arr.Read(p, 0, 1<<20)
-		if err != nil || !bytes.Equal(got, final) {
-			t.Errorf("post-aggregation data mismatch (%v)", err)
 		}
 	})
 }

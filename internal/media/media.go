@@ -1,5 +1,5 @@
 // Package media models storage media devices: Intel Optane DC Persistent
-// Memory Modules (DCPMM) in AppDirect interleaved mode, and NVMe SSDs.
+// Memory Modules (DCPMM) in AppDirect interleaved mode.
 //
 // A Device combines a timing model (per-operation setup latency plus
 // fair-shared read and write bandwidth channels, since persistent memory is
@@ -66,9 +66,6 @@ func NewDevice(s *sim.Sim, p Params) *Device {
 	}
 }
 
-// Params returns the device's configuration.
-func (d *Device) Params() Params { return d.params }
-
 // Read charges the virtual clock for reading size bytes.
 func (d *Device) Read(p *sim.Proc, size int64) {
 	d.ReadOps++
@@ -97,27 +94,11 @@ func (d *Device) Alloc(size int64) error {
 	return nil
 }
 
-// Free releases size bytes previously allocated.
-func (d *Device) Free(size int64) {
-	if size < 0 || size > d.used {
-		panic(fmt.Sprintf("media: bad free of %d with %d used", size, d.used))
-	}
-	d.used -= size
-}
-
 // Used returns currently allocated bytes.
 func (d *Device) Used() int64 { return d.used }
 
-// Capacity returns total usable bytes.
-func (d *Device) Capacity() int64 { return d.params.Capacity }
-
-const (
-	// KiB, MiB, GiB, TiB are binary byte units.
-	KiB = int64(1) << 10
-	MiB = int64(1) << 20
-	GiB = int64(1) << 30
-	TiB = int64(1) << 40
-)
+// GiB is a binary gigabyte.
+const GiB = int64(1) << 30
 
 // DCPMMInterleaved returns parameters for an AppDirect interleaved set of
 // first-generation 256 GiB Optane DCPMMs, as fitted per socket on the
@@ -144,19 +125,5 @@ func DCPMMInterleaved(name string, modules int) Params {
 		// A single xstream stream cannot saturate the interleave set.
 		FlowReadBW:  6.0e9,
 		FlowWriteBW: 3.0e9,
-	}
-}
-
-// NVMe returns parameters for a datacentre NVMe SSD (DAOS bulk tier).
-func NVMe(name string, capacity int64) Params {
-	return Params{
-		Name:         name,
-		Capacity:     capacity,
-		ReadLatency:  80 * time.Microsecond,
-		WriteLatency: 20 * time.Microsecond,
-		ReadBW:       3.2e9,
-		WriteBW:      2.2e9,
-		FlowReadBW:   2.0e9,
-		FlowWriteBW:  1.5e9,
 	}
 }

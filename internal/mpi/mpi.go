@@ -1,6 +1,6 @@
 // Package mpi provides a miniature MPI runtime over the simulation kernel:
 // ranks as simulated processes, and the collectives the I/O middleware and
-// the IOR harness need (Barrier, Bcast, Allreduce, Gather, point-to-point
+// the IOR harness need (Barrier, Allreduce, and the personalized all-to-all
 // exchange). Collectives follow MPI call-order matching semantics: every
 // rank's n-th call on a tag joins the same instance.
 package mpi
@@ -123,19 +123,6 @@ func (r *Rank) Barrier(p *sim.Proc) {
 	r.latencyFactor(p)
 }
 
-// Bcast distributes root's value to every rank, charging non-root ranks the
-// payload transfer from root's node.
-func (r *Rank) Bcast(p *sim.Proc, root int, val interface{}, size int64) interface{} {
-	out := r.join(p, "bcast", val, func(vals map[int]interface{}) interface{} {
-		return vals[root]
-	})
-	if r.id != root && size > 0 {
-		r.world.fab.Move(p, r.world.nodes[root], r.Node(), size)
-	}
-	r.latencyFactor(p)
-	return out
-}
-
 // AllreduceFloat combines one float64 per rank with op ("sum", "min",
 // "max") and returns the result on every rank.
 func (r *Rank) AllreduceFloat(p *sim.Proc, val float64, op string) float64 {
@@ -163,26 +150,6 @@ func (r *Rank) AllreduceFloat(p *sim.Proc, val float64, op string) float64 {
 // AllreduceDuration reduces a duration with "min"/"max"/"sum".
 func (r *Rank) AllreduceDuration(p *sim.Proc, d time.Duration, op string) time.Duration {
 	return time.Duration(r.AllreduceFloat(p, float64(d), op))
-}
-
-// Gather collects every rank's value at root (others receive nil). Each
-// non-root rank charges its payload transfer to root's node.
-func (r *Rank) Gather(p *sim.Proc, root int, val interface{}, size int64) []interface{} {
-	if r.id != root && size > 0 {
-		r.world.fab.Move(p, r.Node(), r.world.nodes[root], size)
-	}
-	out := r.join(p, "gather", val, func(vals map[int]interface{}) interface{} {
-		ordered := make([]interface{}, len(vals))
-		for id, v := range vals {
-			ordered[id] = v
-		}
-		return ordered
-	})
-	r.latencyFactor(p)
-	if r.id != root {
-		return nil
-	}
-	return out.([]interface{})
 }
 
 // Received is one item delivered by Exchange, tagged with its sender.

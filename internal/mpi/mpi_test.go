@@ -57,17 +57,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	})
 }
 
-func TestBcastDeliversRootValue(t *testing.T) {
-	withWorld(t, 4, func(p *sim.Proc, tb *cluster.Testbed, w *mpi.World) {
-		w.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
-			val := r.Bcast(cp, 2, r.ID()*100, 1024)
-			if val.(int) != 200 {
-				t.Errorf("rank %d got %v, want 200", r.ID(), val)
-			}
-		})
-	})
-}
-
 func TestAllreduce(t *testing.T) {
 	withWorld(t, 4, func(p *sim.Proc, tb *cluster.Testbed, w *mpi.World) {
 		w.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
@@ -91,27 +80,6 @@ func TestAllreduceDuration(t *testing.T) {
 			d := time.Duration(r.ID()+1) * time.Second
 			if got := r.AllreduceDuration(cp, d, "max"); got != 2*time.Second {
 				t.Errorf("max duration = %v", got)
-			}
-		})
-	})
-}
-
-func TestGather(t *testing.T) {
-	withWorld(t, 4, func(p *sim.Proc, tb *cluster.Testbed, w *mpi.World) {
-		w.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
-			out := r.Gather(cp, 0, r.ID()*7, 64)
-			if r.ID() == 0 {
-				if len(out) != 4 {
-					t.Errorf("gather len = %d", len(out))
-					return
-				}
-				for i, v := range out {
-					if v.(int) != i*7 {
-						t.Errorf("out[%d] = %v", i, v)
-					}
-				}
-			} else if out != nil {
-				t.Errorf("non-root got %v", out)
 			}
 		})
 	})
@@ -164,23 +132,5 @@ func TestCollectiveOrderMatching(t *testing.T) {
 				t.Errorf("rank %d: first=%v second=%v", r.ID(), first, second)
 			}
 		})
-	})
-}
-
-func TestBcastChargesTransferTime(t *testing.T) {
-	withWorld(t, 2, func(p *sim.Proc, tb *cluster.Testbed, w *mpi.World) {
-		var rootDone, otherDone time.Duration
-		w.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
-			start := cp.Now()
-			r.Bcast(cp, 0, "payload", 100<<20) // 100 MiB
-			if r.ID() == 0 {
-				rootDone = cp.Now() - start
-			} else {
-				otherDone = cp.Now() - start
-			}
-		})
-		if otherDone <= rootDone {
-			t.Errorf("receiver (%v) should pay more than root (%v)", otherDone, rootDone)
-		}
 	})
 }

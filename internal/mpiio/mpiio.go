@@ -26,7 +26,6 @@ type Driver interface {
 	WriteAt(p *sim.Proc, off int64, data []byte) error
 	ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error)
 	ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
-	Size(p *sim.Proc) (int64, error)
 	Sync(p *sim.Proc) error
 	Close(p *sim.Proc) error
 }
@@ -43,9 +42,8 @@ func (d *dfsDriver) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
 func (d *dfsDriver) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return d.f.ReadAtInto(p, off, n, dst)
 }
-func (d *dfsDriver) Size(p *sim.Proc) (int64, error) { return d.f.Size(p) }
-func (d *dfsDriver) Sync(p *sim.Proc) error          { return d.f.Sync(p) }
-func (d *dfsDriver) Close(p *sim.Proc) error         { return d.f.Close(p) }
+func (d *dfsDriver) Sync(p *sim.Proc) error  { return d.f.Sync(p) }
+func (d *dfsDriver) Close(p *sim.Proc) error { return d.f.Close(p) }
 
 // posixDriver drives a file through a DFuse mount.
 type posixDriver struct{ fd *dfuse.File }
@@ -60,9 +58,8 @@ func (d *posixDriver) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
 func (d *posixDriver) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return d.fd.PreadInto(p, off, n, dst)
 }
-func (d *posixDriver) Size(p *sim.Proc) (int64, error) { return d.fd.Size(p) }
-func (d *posixDriver) Sync(p *sim.Proc) error          { return d.fd.Fsync(p) }
-func (d *posixDriver) Close(p *sim.Proc) error         { return d.fd.Close(p) }
+func (d *posixDriver) Sync(p *sim.Proc) error  { return d.fd.Fsync(p) }
+func (d *posixDriver) Close(p *sim.Proc) error { return d.fd.Close(p) }
 
 // Hints configure collective buffering, mirroring ROMIO's cb_* hints.
 type Hints struct {
@@ -87,7 +84,6 @@ type File struct {
 	rank  *mpi.Rank
 	drv   Driver
 	hints Hints
-	disp  int64 // file view displacement
 	// readBuf is the aggregator's covering-read buffer, reused across
 	// ReadAtAllInto calls and grown only when a call needs more.
 	readBuf []byte
@@ -154,30 +150,23 @@ func newFile(r *mpi.Rank, drv Driver, hints Hints) *File {
 	return &File{rank: r, drv: drv, hints: hints}
 }
 
-// SetView sets the file view displacement (MPI_File_set_view with a byte
-// etype).
-func (f *File) SetView(disp int64) { f.disp = disp }
-
-// WriteAt performs an independent write at the view-relative offset. The
+// WriteAt performs an independent write at the byte offset. The
 // store keeps data, not a copy: do not modify it after the call.
 func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	return f.drv.WriteAt(p, f.disp+off, data)
+	return f.drv.WriteAt(p, off, data)
 }
 
-// ReadAt performs an independent read at the view-relative offset.
+// ReadAt performs an independent read at the byte offset.
 func (f *File) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return f.drv.ReadAt(p, f.disp+off, n)
+	return f.drv.ReadAt(p, off, n)
 }
 
-// ReadAtInto performs an independent read at the view-relative offset into
+// ReadAtInto performs an independent read at the byte offset into
 // dst (len(dst) == n; every byte is written). A nil dst simulates the read
 // with identical timing without materializing data.
 func (f *File) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
-	return f.drv.ReadAtInto(p, f.disp+off, n, dst)
+	return f.drv.ReadAtInto(p, off, n, dst)
 }
-
-// Size returns the file size.
-func (f *File) Size(p *sim.Proc) (int64, error) { return f.drv.Size(p) }
 
 // Sync flushes the file.
 func (f *File) Sync(p *sim.Proc) error { return f.drv.Sync(p) }
@@ -262,7 +251,7 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, data []byte) error {
 	vals := make([]interface{}, f.rank.Size())
 	sizes := make([]int64, f.rank.Size())
 	if len(data) > 0 {
-		routePieces(f.disp+off, data, int64(len(data)), aggs, bounds, vals, sizes)
+		routePieces(off, data, int64(len(data)), aggs, bounds, vals, sizes)
 	}
 	incoming := f.rank.Exchange(p, vals, sizes)
 	// Aggregators coalesce and write their domain.
@@ -344,7 +333,7 @@ func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error 
 	vals := make([]interface{}, f.rank.Size())
 	sizes := make([]int64, f.rank.Size())
 	if n > 0 {
-		routePieces(f.disp+off, nil, n, aggs, bounds, vals, sizes)
+		routePieces(off, nil, n, aggs, bounds, vals, sizes)
 		if dst == nil {
 			for _, v := range vals {
 				if v != nil {
@@ -421,10 +410,9 @@ func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error 
 	if dst == nil {
 		return nil
 	}
-	base := f.disp + off
 	for _, rcv := range incoming {
 		for _, pc := range rcv.Val.([]*piece) {
-			copy(dst[pc.Off-base:pc.Off-base+pc.Len], pc.Data)
+			copy(dst[pc.Off-off:pc.Off-off+pc.Len], pc.Data)
 		}
 	}
 	return nil
@@ -433,7 +421,7 @@ func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error 
 // collectiveExtent agrees on the union extent of a collective op; ok is
 // false when every rank passed zero length.
 func (f *File) collectiveExtent(p *sim.Proc, off, n int64) (lo, hi int64, ok bool) {
-	myLo, myHi := f.disp+off, f.disp+off+n
+	myLo, myHi := off, off+n
 	if n <= 0 {
 		// Neutral elements so empty ranks do not skew the reduction.
 		myLo, myHi = int64(1)<<62, -1
@@ -442,6 +430,3 @@ func (f *File) collectiveExtent(p *sim.Proc, off, n int64) (lo, hi int64, ok boo
 	hi = int64(f.rank.AllreduceFloat(p, float64(myHi), "max"))
 	return lo, hi, hi > lo
 }
-
-// Rank returns the rank that opened the handle (for tests that need it).
-func (f *File) Rank() *mpi.Rank { return f.rank }

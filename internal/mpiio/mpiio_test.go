@@ -213,33 +213,6 @@ func TestCollectiveInterleavedPattern(t *testing.T) {
 	})
 }
 
-func TestSetView(t *testing.T) {
-	withEnv(t, 2, func(p *sim.Proc, e *env) {
-		e.world.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
-			f, err := mpiio.OpenDFS(cp, r, e.fs[r.ID()], "/view.dat", true, dfs.CreateOpts{}, mpiio.DefaultHints(1))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			f.SetView(4096)
-			if r.ID() == 0 {
-				f.WriteAt(cp, 0, []byte("header-relative"))
-			}
-			r.Barrier(cp)
-			got, err := f.ReadAt(cp, 0, 15)
-			if err != nil || string(got) != "header-relative" {
-				t.Errorf("view read = %q, %v", got, err)
-			}
-			// The absolute file offset is displaced.
-			f.SetView(0)
-			got, _ = f.ReadAt(cp, 4096, 15)
-			if string(got) != "header-relative" {
-				t.Errorf("absolute read = %q", got)
-			}
-		})
-	})
-}
-
 func TestCollectiveZeroLengthParticipant(t *testing.T) {
 	withEnv(t, 3, func(p *sim.Proc, e *env) {
 		e.world.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
@@ -260,21 +233,6 @@ func TestCollectiveZeroLengthParticipant(t *testing.T) {
 			got, err := f.ReadAtAll(cp, 0, 8192)
 			if err != nil || !bytes.Equal(got, pattern(0, 8192)) {
 				t.Errorf("rank %d read mismatch (%v)", r.ID(), err)
-			}
-		})
-	})
-}
-
-func TestFileSizeAfterSharedWrites(t *testing.T) {
-	const ranks, blk = 4, 1 << 18
-	withEnv(t, ranks, func(p *sim.Proc, e *env) {
-		e.world.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
-			f, _ := mpiio.OpenDFS(cp, r, e.fs[r.ID()], "/sized.dat", true, dfs.CreateOpts{}, mpiio.DefaultHints(2))
-			f.WriteAt(cp, int64(r.ID())*blk, pattern(r.ID(), blk))
-			r.Barrier(cp)
-			size, err := f.Size(cp)
-			if err != nil || size != ranks*blk {
-				t.Errorf("size = %d, %v (want %d)", size, err, ranks*blk)
 			}
 		})
 	})

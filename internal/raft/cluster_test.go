@@ -7,9 +7,9 @@ import (
 )
 
 // MemTransport is an in-memory message transport with configurable one-way
-// latency, a partition matrix, and deterministic delivery order. It serves
-// unit tests and any deployment that keeps the replicas co-located; the svc
-// package provides a fabric-backed transport for the full cluster model.
+// latency, a partition matrix, and deterministic delivery order, for the
+// package's tests; the svc package provides the fabric-backed transport the
+// full cluster model runs on.
 type MemTransport struct {
 	sim     *sim.Sim
 	latency time.Duration
@@ -70,7 +70,7 @@ func (t *MemTransport) Send(p *sim.Proc, from, to int, m interface{}, size int64
 	t.sim.After(t.latency, func() { dst.mbox.Send(m) })
 }
 
-// Cluster bundles n nodes on a MemTransport for tests and examples.
+// Cluster bundles n nodes on a MemTransport for tests.
 type Cluster struct {
 	Sim       *sim.Sim
 	Transport *MemTransport

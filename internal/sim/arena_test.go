@@ -35,7 +35,7 @@ func TestArenaFreeStackReuse(t *testing.T) {
 	if s.Workers() != before {
 		t.Fatalf("spawn after quiesce grew the arena: %d -> %d workers", before, s.Workers())
 	}
-	s.Drain()
+	s.discard()
 }
 
 // TestArenaConcurrentProcsGetDistinctWorkers pins that simultaneous live
@@ -60,7 +60,7 @@ func TestArenaConcurrentProcsGetDistinctWorkers(t *testing.T) {
 	if len(seen) != procs {
 		t.Fatalf("distinct shells = %d, want %d", len(seen), procs)
 	}
-	s.Drain()
+	s.discard()
 }
 
 // TestResetMatchesFreshSim is the reset-isolation contract: a workload on a
@@ -208,11 +208,12 @@ func TestArenaReuseAcrossGets(t *testing.T) {
 }
 
 // TestDrainReturnsGoroutinesToBaseline pins, under the race detector in CI,
-// that a drained simulator holds no goroutines at all: the process arena is
-// fully reclaimed, synchronously.
+// that a drained arena holds no goroutines at all: the simulator's process
+// coroutines are fully reclaimed, synchronously.
 func TestDrainReturnsGoroutinesToBaseline(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	s := New(1)
+	a := NewArena()
+	s := a.Get(1)
 	for i := 0; i < 100; i++ {
 		s.Spawn("w", func(p *Proc) { p.Sleep(time.Duration(i%7) * time.Millisecond) })
 	}
@@ -220,13 +221,13 @@ func TestDrainReturnsGoroutinesToBaseline(t *testing.T) {
 	if s.Workers() == 0 {
 		t.Fatal("no arena workers after a run")
 	}
-	s.Drain()
+	a.Drain()
 	if s.Workers() != 0 {
 		t.Fatalf("Workers = %d after Drain, want 0", s.Workers())
 	}
-	// Drain waits for each worker's exit acknowledgement, but the ack is
-	// sent just before the goroutine returns, so give the scheduler a
-	// moment to retire them before counting.
+	// Each coroutine has exited when Drain returns, but its goroutine may
+	// not have been retired yet, so give the scheduler a moment before
+	// counting.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -234,14 +235,15 @@ func TestDrainReturnsGoroutinesToBaseline(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("goroutines leaked: baseline %d, after drain %d", baseline, n)
 	}
-	// A drained simulator is still usable: the arena regrows on demand.
+	// A drained arena is still usable: the next Get builds a fresh Sim.
 	ran := false
+	s = a.Get(2)
 	s.Spawn("again", func(p *Proc) { ran = true })
 	s.Run()
 	if !ran {
 		t.Fatal("spawn after Drain did not run")
 	}
-	s.Drain()
+	a.Drain()
 }
 
 // TestContendedResourceSteadyStateDoesNotAllocate pins the 0 B/op claim of
@@ -270,7 +272,7 @@ func TestContendedResourceSteadyStateDoesNotAllocate(t *testing.T) {
 	if avg > opsPerCycle/10 {
 		t.Errorf("steady-state contention allocates: %.0f allocs per %d-op cycle", avg, opsPerCycle)
 	}
-	s.Drain()
+	s.discard()
 }
 
 // FuzzResetIsolation fuzzes the reset-isolation contract over generated

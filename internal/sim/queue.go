@@ -66,5 +66,8 @@ func (q *Queue) Close() {
 	}
 }
 
+// Closed reports whether the queue has been closed.
+func (q *Queue) Closed() bool { return q.closed }
+
 // Len returns the number of queued messages.
 func (q *Queue) Len() int { return q.items.Len() }

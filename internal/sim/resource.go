@@ -98,9 +98,6 @@ func (r *Resource) Utilisation() float64 {
 	return float64(r.busy) / float64(total)
 }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // SharedBW models a bandwidth resource under processor sharing: N concurrent
 // transfers each progress at Rate/N (optionally clamped to a per-flow cap).
 // This is the standard fluid model for links, NICs and storage media
@@ -245,9 +242,6 @@ func NewSharedBW(s *Sim, name string, rate, flowCap float64) *SharedBW {
 	}
 	return &SharedBW{sim: s, name: name, rate: rate, flowCap: flowCap}
 }
-
-// Rate returns the aggregate capacity in bytes/s.
-func (b *SharedBW) Rate() float64 { return b.rate }
 
 // perFlow returns the current per-flow service rate in bytes/s.
 func (b *SharedBW) perFlow() float64 {

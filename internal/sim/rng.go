@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small deterministic pseudo-random source (xorshift64*), used for
 // every stochastic choice in the simulation so runs are reproducible from a
 // single seed. It intentionally avoids math/rand's global state.
@@ -36,11 +34,6 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -52,33 +45,6 @@ func (r *RNG) Intn(n int) int {
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (r *RNG) Int63() int64 {
 	return int64(r.Uint64() >> 1)
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
-// Uniform returns a uniform value in [lo, hi).
-func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle pseudo-randomly reorders n elements using the provided swap.

@@ -62,7 +62,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
-	"slices"
 	"time"
 )
 
@@ -465,21 +464,6 @@ func (s *Sim) Reset(seed uint64) {
 	s.rng.Seed(seed)
 }
 
-// Drain stops the arena's idle coroutines; each has exited when Drain
-// returns. It must only be called while no simulation is being driven — the
-// natural moment is a sweep worker retiring its Sim. Live processes are
-// untouched and a later drive resumes them; a later Spawn simply regrows
-// the arena. (Arena stops the live processes of a Sim it discards.)
-func (s *Sim) Drain() {
-	for _, p := range s.idle {
-		p.stop()
-		p.resume = nil // marks the shell for removal from procs
-	}
-	clear(s.idle)
-	s.idle = s.idle[:0]
-	s.procs = slices.DeleteFunc(s.procs, func(p *Proc) bool { return p.resume == nil })
-}
-
 // discard retires a Sim that will never run again by stopping every
 // coroutine it started. An idle shell exits. A live process's pending
 // yieldWait panics with errStopped, so its body unwinds — its deferred calls
@@ -495,8 +479,8 @@ func (s *Sim) discard() {
 }
 
 // Workers returns the number of live arena coroutines (idle shells plus
-// running processes). It exists for leak tests: after a quiesced Sim is
-// drained it must be zero.
+// running processes). It exists for leak tests: after a Sim is discarded it
+// must be zero.
 func (s *Sim) Workers() int { return len(s.procs) }
 
 // Proc is a handle held by a simulated process. All blocking operations
@@ -516,9 +500,6 @@ type Proc struct {
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// Sim returns the owning simulator.
-func (p *Proc) Sim() *Sim { return p.sim }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.sim.now }
@@ -688,10 +669,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	s.schedProc(wake, p)
 	p.yieldWait()
 }
-
-// Yield relinquishes control until all previously-scheduled events at the
-// current instant have fired. Equivalent to Sleep(0).
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // WaitGroup coordinates fork/join between simulated processes, mirroring
 // sync.WaitGroup but driven by virtual time.

@@ -290,7 +290,9 @@ func Start(s *sim.Sim, f *fabric.Fabric, nodes []*fabric.Node) *Service {
 				if !ok {
 					return
 				}
-				if env, isRaft := v.(fabric.Datagram); isRaft {
+				// A stopped replica has closed its mailbox: drop the
+				// message, as the fabric drops one to a stopped node.
+				if env, isRaft := v.(fabric.Datagram); isRaft && !node.Mailbox().Closed() {
 					if re, ok := env.Body.(raftEnvelope); ok {
 						node.Mailbox().Send(re.msg)
 					}

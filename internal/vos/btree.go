@@ -3,8 +3,7 @@
 // (dkeys); dkeys hold attribute keys (akeys); akeys hold either a single
 // versioned value or a byte-array of versioned extents. All indexes are
 // B+trees, as in the real VOS, and every update is tagged with an epoch so
-// reads can be served at any point in history until aggregation merges old
-// versions.
+// reads can be served at any point in history.
 //
 // Array writes are zero-copy: an extent keeps the writer's bytes, so a
 // writer hands its buffer over and must not modify it after the update.
@@ -154,29 +153,6 @@ func split(n *btreeNode) (left *btreeNode, sep []byte, right *btreeNode) {
 	return left, sep, right
 }
 
-// Delete removes k, reporting whether it was present. Nodes are allowed to
-// underflow (no rebalancing): VOS-style trees are write-mostly and the
-// simulator favours simplicity over worst-case height, which stays bounded
-// because deletes never increase height.
-func (t *BTree) Delete(k []byte) bool {
-	n := t.root
-	for !n.leaf() {
-		i, found := search(n.keys, k)
-		if found {
-			i++
-		}
-		n = n.children[i]
-	}
-	i, found := search(n.keys, k)
-	if !found {
-		return false
-	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.values = append(n.values[:i], n.values[i+1:]...)
-	t.size--
-	return true
-}
-
 // Ascend calls fn for every key/value in ascending key order until fn
 // returns false.
 func (t *BTree) Ascend(fn func(k []byte, v interface{}) bool) {
@@ -192,39 +168,12 @@ func (t *BTree) ascend(n *btreeNode, fn func(k []byte, v interface{}) bool) bool
 		}
 		return true
 	}
-	for i, c := range n.children {
+	// Separator keys are routing information only; the real key/value
+	// pairs all live in leaves.
+	for _, c := range n.children {
 		if !t.ascend(c, fn) {
 			return false
 		}
-		if i < len(n.keys) {
-			// Separator keys are routing information only; the real
-			// key/value pairs all live in leaves.
-			continue
-		}
 	}
 	return true
-}
-
-// AscendRange calls fn for keys in [lo, hi) in ascending order until fn
-// returns false. A nil hi means unbounded.
-func (t *BTree) AscendRange(lo, hi []byte, fn func(k []byte, v interface{}) bool) {
-	t.Ascend(func(k []byte, v interface{}) bool {
-		if lo != nil && bytes.Compare(k, lo) < 0 {
-			return true
-		}
-		if hi != nil && bytes.Compare(k, hi) >= 0 {
-			return false
-		}
-		return fn(k, v)
-	})
-}
-
-// Keys returns all keys in ascending order (copies).
-func (t *BTree) Keys() [][]byte {
-	out := make([][]byte, 0, t.size)
-	t.Ascend(func(k []byte, v interface{}) bool {
-		out = append(out, append([]byte(nil), k...))
-		return true
-	})
-	return out
 }

@@ -58,51 +58,6 @@ func TestBTreeManyKeysSorted(t *testing.T) {
 	}
 }
 
-func TestBTreeDelete(t *testing.T) {
-	tr := NewBTree()
-	for i := 0; i < 100; i++ {
-		tr.Put([]byte(fmt.Sprintf("k%03d", i)), i)
-	}
-	for i := 0; i < 100; i += 2 {
-		if !tr.Delete([]byte(fmt.Sprintf("k%03d", i))) {
-			t.Fatalf("delete k%03d failed", i)
-		}
-	}
-	if tr.Delete([]byte("k000")) {
-		t.Fatal("double delete succeeded")
-	}
-	if tr.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", tr.Len())
-	}
-	for i := 0; i < 100; i++ {
-		_, ok := tr.Get([]byte(fmt.Sprintf("k%03d", i)))
-		if want := i%2 == 1; ok != want {
-			t.Fatalf("Get(k%03d) = %v, want %v", i, ok, want)
-		}
-	}
-}
-
-func TestBTreeAscendRange(t *testing.T) {
-	tr := NewBTree()
-	for i := 0; i < 10; i++ {
-		tr.Put([]byte{byte('a' + i)}, i)
-	}
-	var got []string
-	tr.AscendRange([]byte("c"), []byte("f"), func(k []byte, v interface{}) bool {
-		got = append(got, string(k))
-		return true
-	})
-	want := []string{"c", "d", "e"}
-	if len(got) != len(want) {
-		t.Fatalf("range = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestBTreeEarlyStop(t *testing.T) {
 	tr := NewBTree()
 	for i := 0; i < 100; i++ {
@@ -132,30 +87,18 @@ func TestBTreeKeyCopied(t *testing.T) {
 // exactly like a sorted map under arbitrary operation sequences.
 func TestBTreeMatchesReferenceMap(t *testing.T) {
 	type op struct {
-		Key    uint16
-		Value  uint8
-		Delete bool
+		Key   uint16
+		Value uint8
 	}
 	f := func(ops []op) bool {
 		tr := NewBTree()
 		ref := map[string]interface{}{}
 		for _, o := range ops {
 			k := fmt.Sprintf("%05d", o.Key%500)
-			if o.Delete {
-				delRef := false
-				if _, ok := ref[k]; ok {
-					delete(ref, k)
-					delRef = true
-				}
-				if tr.Delete([]byte(k)) != delRef {
-					return false
-				}
-			} else {
-				_, existed := ref[k]
-				ref[k] = int(o.Value)
-				if tr.Put([]byte(k), int(o.Value)) == existed {
-					return false
-				}
+			_, existed := ref[k]
+			ref[k] = int(o.Value)
+			if tr.Put([]byte(k), int(o.Value)) == existed {
+				return false
 			}
 		}
 		if tr.Len() != len(ref) {

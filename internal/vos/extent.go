@@ -26,7 +26,7 @@ func (e Extent) End() int64 { return e.Offset + int64(len(e.Data)) }
 // read epoch wins for every byte.
 type ExtentTree struct {
 	// extents are sorted by Offset, then Epoch. Multiple extents may
-	// overlap; MVCC keeps old versions until Aggregate.
+	// overlap; MVCC keeps every old version.
 	extents []Extent
 	// maxEnd caches the high-water mark of written bytes (the array size).
 	maxEnd int64
@@ -197,84 +197,4 @@ func (t *ExtentTree) VisibleSize(epoch Epoch) int64 {
 		}
 	}
 	return size
-}
-
-// Aggregate merges history at or below epoch into a flat, non-overlapping
-// set of extents stamped with the aggregation epoch, discarding shadowed
-// versions. Extents newer than epoch are preserved untouched. It returns the
-// number of bytes of old version data reclaimed.
-func (t *ExtentTree) Aggregate(epoch Epoch) int64 {
-	var old, newer []Extent
-	var oldBytes int64
-	for _, e := range t.extents {
-		if e.Epoch <= epoch {
-			old = append(old, e)
-			oldBytes += int64(len(e.Data))
-		} else {
-			newer = append(newer, e)
-		}
-	}
-	if len(old) == 0 {
-		return 0
-	}
-	// Flatten the visible image of the old extents into runs.
-	lo, hi := old[0].Offset, old[0].End()
-	for _, e := range old[1:] {
-		if e.Offset < lo {
-			lo = e.Offset
-		}
-		if e.End() > hi {
-			hi = e.End()
-		}
-	}
-	img, _ := t.readFrom(old, lo, int(hi-lo), epoch)
-	written := make([]bool, hi-lo)
-	for _, e := range old {
-		for i := e.Offset; i < e.End(); i++ {
-			written[i-lo] = true
-		}
-	}
-	var flat []Extent
-	var keptBytes int64
-	i := 0
-	for i < len(written) {
-		if !written[i] {
-			i++
-			continue
-		}
-		j := i
-		for j < len(written) && written[j] {
-			j++
-		}
-		flat = append(flat, Extent{
-			Offset: lo + int64(i),
-			Epoch:  epoch,
-			Data:   append([]byte(nil), img[i:j]...),
-		})
-		keptBytes += int64(j - i)
-		i = j
-	}
-	merged := append(flat, newer...)
-	sort.SliceStable(merged, func(a, b int) bool {
-		if merged[a].Offset != merged[b].Offset {
-			return merged[a].Offset < merged[b].Offset
-		}
-		return merged[a].Epoch < merged[b].Epoch
-	})
-	t.extents = merged
-	return oldBytes - keptBytes
-}
-
-// readFrom is Read over an explicit extent set (used by Aggregate).
-func (t *ExtentTree) readFrom(extents []Extent, offset int64, length int, epoch Epoch) ([]byte, int64) {
-	saved := t.extents
-	t.extents = extents
-	buf, covered := t.Read(offset, length, epoch)
-	t.extents = saved
-	return buf, covered
-}
-
-// Extents returns a copy of the extent list (for inspection and tests).
-func (t *ExtentTree) Extents() []Extent {
-	return append([]Extent(nil), t.extents...)
 }

@@ -76,59 +76,8 @@ func TestExtentVisibleSize(t *testing.T) {
 	}
 }
 
-func TestExtentAggregateReclaims(t *testing.T) {
-	tr := NewExtentTree()
-	tr.Insert(0, 1, bytes.Repeat([]byte("a"), 100))
-	tr.Insert(0, 2, bytes.Repeat([]byte("b"), 100)) // fully shadows epoch 1
-	before, _ := tr.Read(0, 100, EpochMax)
-	reclaimed := tr.Aggregate(EpochMax)
-	if reclaimed != 100 {
-		t.Fatalf("reclaimed = %d, want 100", reclaimed)
-	}
-	after, _ := tr.Read(0, 100, EpochMax)
-	if !bytes.Equal(before, after) {
-		t.Fatal("aggregation changed visible data")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("extents after aggregate = %d, want 1", tr.Len())
-	}
-}
-
-func TestExtentAggregatePreservesNewer(t *testing.T) {
-	tr := NewExtentTree()
-	tr.Insert(0, 1, []byte("aaaa"))
-	tr.Insert(0, 10, []byte("ZZ")) // newer than the aggregation epoch
-	tr.Aggregate(5)
-	got, _ := tr.Read(0, 4, EpochMax)
-	if string(got) != "ZZaa" {
-		t.Fatalf("read = %q, want ZZaa", got)
-	}
-	got, _ = tr.Read(0, 4, 5)
-	if string(got) != "aaaa" {
-		t.Fatalf("epoch-5 read = %q, want aaaa", got)
-	}
-}
-
-func TestExtentAggregateWithHoles(t *testing.T) {
-	tr := NewExtentTree()
-	tr.Insert(0, 1, []byte("aa"))
-	tr.Insert(10, 2, []byte("bb"))
-	tr.Aggregate(EpochMax)
-	if tr.Len() != 2 {
-		t.Fatalf("aggregate merged across a hole: %d extents", tr.Len())
-	}
-	got, _ := tr.Read(0, 12, EpochMax)
-	want := make([]byte, 12)
-	copy(want, "aa")
-	copy(want[10:], "bb")
-	if !bytes.Equal(got, want) {
-		t.Fatalf("read = %v, want %v", got, want)
-	}
-}
-
 // TestExtentMatchesReferenceBuffer is the core property test: any write
-// sequence read back at the latest epoch equals a flat reference buffer,
-// both before and after aggregation.
+// sequence read back at the latest epoch equals a flat reference buffer.
 func TestExtentMatchesReferenceBuffer(t *testing.T) {
 	type write struct {
 		Offset uint16
@@ -154,12 +103,7 @@ func TestExtentMatchesReferenceBuffer(t *testing.T) {
 		if !bytes.Equal(got, ref) {
 			return false
 		}
-		if tr.VisibleSize(EpochMax) != maxEnd {
-			return false
-		}
-		tr.Aggregate(EpochMax)
-		got, _ = tr.Read(0, space, EpochMax)
-		return bytes.Equal(got, ref)
+		return tr.VisibleSize(EpochMax) == maxEnd
 	}
 	cfg := &quick.Config{MaxCount: 40}
 	if err := quick.Check(f, cfg); err != nil {
@@ -209,7 +153,7 @@ func TestExtentInsertKeepsData(t *testing.T) {
 	tr := NewExtentTree()
 	buf := []byte("orig")
 	tr.Insert(0, 1, buf)
-	if got := tr.Extents()[0].Data; &got[0] != &buf[0] || len(got) != len(buf) {
+	if got := tr.extents[0].Data; &got[0] != &buf[0] || len(got) != len(buf) {
 		t.Fatal("extent does not share the caller's backing array")
 	}
 

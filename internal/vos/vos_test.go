@@ -73,47 +73,12 @@ func TestMixedKindPanics(t *testing.T) {
 	c.UpdateArray(testOID, []byte("dk"), []byte("ak"), 2, 0, []byte("x"))
 }
 
-func TestPunchObject(t *testing.T) {
-	c := NewContainer("c0")
-	c.UpdateSingle(testOID, []byte("dk"), []byte("ak"), 1, []byte("v"))
-	if err := c.PunchObject(testOID, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FetchSingle(testOID, []byte("dk"), []byte("ak"), EpochMax); !errors.Is(err, ErrPunched) {
-		t.Fatalf("post-punch fetch err = %v, want ErrPunched", err)
-	}
-	// Reads before the punch epoch still see the data (snapshot semantics).
-	v, err := c.FetchSingle(testOID, []byte("dk"), []byte("ak"), 4)
-	if err != nil || string(v) != "v" {
-		t.Fatalf("pre-punch fetch = %q, %v", v, err)
-	}
-}
-
-func TestPunchDkey(t *testing.T) {
-	c := NewContainer("c0")
-	c.UpdateSingle(testOID, []byte("d1"), []byte("ak"), 1, []byte("v1"))
-	c.UpdateSingle(testOID, []byte("d2"), []byte("ak"), 1, []byte("v2"))
-	if err := c.PunchDkey(testOID, []byte("d1"), 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FetchSingle(testOID, []byte("d1"), []byte("ak"), EpochMax); !errors.Is(err, ErrPunched) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := c.FetchSingle(testOID, []byte("d2"), []byte("ak"), EpochMax); err != nil {
-		t.Fatalf("unrelated dkey punched: %v", err)
-	}
-	dkeys, err := c.ListDkeys(testOID, EpochMax)
-	if err != nil || len(dkeys) != 1 || string(dkeys[0]) != "d2" {
-		t.Fatalf("dkeys = %v, %v", dkeys, err)
-	}
-}
-
 func TestListDkeysSorted(t *testing.T) {
 	c := NewContainer("c0")
 	for _, dk := range []string{"zeta", "alpha", "mid"} {
 		c.UpdateSingle(testOID, []byte(dk), []byte("ak"), 1, []byte("v"))
 	}
-	dkeys, err := c.ListDkeys(testOID, EpochMax)
+	dkeys, err := c.ListDkeys(testOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,66 +87,6 @@ func TestListDkeysSorted(t *testing.T) {
 		if string(dkeys[i]) != w {
 			t.Fatalf("dkeys = %v, want %v", dkeys, want)
 		}
-	}
-}
-
-func TestListAkeys(t *testing.T) {
-	c := NewContainer("c0")
-	c.UpdateSingle(testOID, []byte("dk"), []byte("b"), 1, []byte("v"))
-	c.UpdateSingle(testOID, []byte("dk"), []byte("a"), 1, []byte("v"))
-	aks, err := c.ListAkeys(testOID, []byte("dk"), EpochMax)
-	if err != nil || len(aks) != 2 || string(aks[0]) != "a" {
-		t.Fatalf("akeys = %v, %v", aks, err)
-	}
-}
-
-func TestListObjects(t *testing.T) {
-	c := NewContainer("c0")
-	ids := []ObjectID{{Hi: 2, Lo: 1}, {Hi: 1, Lo: 9}, {Hi: 1, Lo: 2}}
-	for _, id := range ids {
-		c.UpdateSingle(id, []byte("dk"), []byte("ak"), 1, []byte("v"))
-	}
-	got := c.ListObjects()
-	if len(got) != 3 {
-		t.Fatalf("objects = %v", got)
-	}
-	// Sorted by (Hi, Lo).
-	if got[0] != (ObjectID{Hi: 1, Lo: 2}) || got[2] != (ObjectID{Hi: 2, Lo: 1}) {
-		t.Fatalf("objects not sorted: %v", got)
-	}
-	if c.NumObjects() != 3 {
-		t.Fatalf("NumObjects = %d", c.NumObjects())
-	}
-}
-
-func TestContainerAggregate(t *testing.T) {
-	c := NewContainer("c0")
-	for e := Epoch(1); e <= 4; e++ {
-		c.UpdateArray(testOID, []byte("dk"), []byte("data"), e, 0, bytes.Repeat([]byte{byte(e)}, 100))
-	}
-	used := c.UsedBytes
-	if used != 400 {
-		t.Fatalf("used = %d", used)
-	}
-	reclaimed := c.Aggregate(EpochMax)
-	if reclaimed != 300 {
-		t.Fatalf("reclaimed = %d, want 300", reclaimed)
-	}
-	if c.UsedBytes != 100 {
-		t.Fatalf("used after aggregate = %d, want 100", c.UsedBytes)
-	}
-	got, err := c.FetchArray(testOID, []byte("dk"), []byte("data"), EpochMax, 0, 100)
-	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{4}, 100)) {
-		t.Fatalf("post-aggregate read wrong: %v %v", got[:4], err)
-	}
-}
-
-func TestMaxEpochTracking(t *testing.T) {
-	c := NewContainer("c0")
-	c.UpdateSingle(testOID, []byte("dk"), []byte("ak"), 7, []byte("v"))
-	c.UpdateArray(testOID, []byte("dk"), []byte("arr"), 9, 0, []byte("x"))
-	if c.MaxEpoch() != 9 {
-		t.Fatalf("MaxEpoch = %d, want 9", c.MaxEpoch())
 	}
 }
 
