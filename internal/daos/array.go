@@ -61,18 +61,34 @@ func (a *Array) spans(off, n int64) []chunkSpan {
 // Write stores data at the byte offset. The store keeps data, not a copy:
 // do not modify it after the call.
 func (a *Array) Write(p *sim.Proc, off int64, data []byte) error {
-	if len(data) == 0 {
+	return a.WriteAtFrom(p, off, int64(len(data)), data)
+}
+
+// WriteAtFrom stores n bytes at the byte offset from src, which is nil or n
+// bytes long. A nil src is a length-only write: identical RPCs and timing,
+// but the extents record only their ranges, and a later read that asks for
+// their bytes fails with vos.ErrNoContent. The store keeps src, not a copy:
+// do not modify it after the call.
+func (a *Array) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	if n <= 0 {
 		return nil
 	}
-	spans := a.spans(off, int64(len(data)))
+	if src != nil && int64(len(src)) != n {
+		return fmt.Errorf("daos: array write from %d-byte buffer, want %d", len(src), n)
+	}
+	spans := a.spans(off, n)
 	writes := make([]engine.WriteExt, 0, len(spans))
 	for _, sp := range spans {
-		writes = append(writes, engine.WriteExt{
+		w := engine.WriteExt{
 			Dkey:   engine.ChunkDkey(sp.chunk),
 			Akey:   arrayAkey,
 			Offset: sp.inOff,
-			Data:   data[sp.bufLo : sp.bufLo+sp.length],
-		})
+			Len:    sp.length,
+		}
+		if src != nil {
+			w.Data = src[sp.bufLo : sp.bufLo+sp.length]
+		}
+		writes = append(writes, w)
 	}
 	return a.Obj.Update(p, writes)
 }

@@ -414,7 +414,14 @@ func (f *File) Class() placement.ClassID { return f.ent.Class }
 // WriteAt stores data at the byte offset. The store keeps data, not a
 // copy: do not modify it after the call.
 func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	return f.arr.Write(p, off, data)
+	return f.WriteAtFrom(p, off, int64(len(data)), data)
+}
+
+// WriteAtFrom stores n bytes at the byte offset from src (nil, or n bytes
+// long). A nil src writes length-only: identical timing, no content, and a
+// later read into a buffer fails with vos.ErrNoContent.
+func (f *File) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	return f.arr.WriteAtFrom(p, off, n, src)
 }
 
 // ReadAt fetches n bytes at the byte offset; holes read as zeros.

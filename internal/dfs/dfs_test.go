@@ -10,6 +10,7 @@ import (
 	"daosim/internal/dfs"
 	"daosim/internal/placement"
 	"daosim/internal/sim"
+	"daosim/internal/vos"
 )
 
 // withFS mounts a fresh filesystem on a small testbed.
@@ -220,6 +221,46 @@ func TestSparseFile(t *testing.T) {
 		head, err := f.ReadAt(p, 0, 16)
 		if err != nil || !bytes.Equal(head, make([]byte, 16)) {
 			t.Errorf("hole = %v, %v", head, err)
+		}
+	})
+}
+
+// TestLengthOnlyWriteFailsContentRead pins how a file written length-only
+// reads: a read into a buffer fails with vos.ErrNoContent instead of
+// returning zeros, a read without a destination simulates as usual, and
+// content written over part of the range reads back while the rest still
+// fails.
+func TestLengthOnlyWriteFailsContentRead(t *testing.T) {
+	withFS(t, func(p *sim.Proc, tb *cluster.Testbed, fs *dfs.FS) {
+		f, err := fs.Create(p, "/lengthonly", dfs.CreateOpts{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		const n = 3 << 19 // two chunks
+		if err := f.WriteAtFrom(p, 0, n, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		if size, err := f.Size(p); err != nil || size != n {
+			t.Errorf("size = %d, %v; want %d", size, err, n)
+		}
+		if err := f.ReadAtInto(p, 0, n, make([]byte, n)); !errors.Is(err, vos.ErrNoContent) {
+			t.Errorf("buffered read err = %v, want vos.ErrNoContent", err)
+		}
+		if err := f.ReadAtInto(p, 0, n, nil); err != nil {
+			t.Errorf("nil-dst read: %v", err)
+		}
+		data := bytes.Repeat([]byte{7}, 1<<20)
+		if err := f.WriteAt(p, 0, data); err != nil {
+			t.Error(err)
+			return
+		}
+		if got, err := f.ReadAt(p, 0, 1<<20); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("overwritten chunk read back wrong (%v)", err)
+		}
+		if _, err := f.ReadAt(p, 1<<20-1, 2); !errors.Is(err, vos.ErrNoContent) {
+			t.Errorf("read across the length-only chunk err = %v, want vos.ErrNoContent", err)
 		}
 	})
 }

@@ -150,40 +150,50 @@ func (m *Mount) Open(p *sim.Proc, path string, flags OpenFlags, opts dfs.CreateO
 	return &File{mount: m, f: f}, nil
 }
 
-// Pwrite writes data at the offset, split into FUSE-sized requests. The
-// kernel keeps the requests of one syscall in flight concurrently (async
-// direct I/O through the FUSE device), so segments overlap across daemon
-// threads; the syscall completes when the slowest segment does. The store
-// keeps data, not a copy: do not modify it after the call.
+// Pwrite writes data at the offset. The store keeps data, not a copy: do
+// not modify it after the call.
 func (fd *File) Pwrite(p *sim.Proc, off int64, data []byte) (int, error) {
+	return fd.PwriteFrom(p, off, int64(len(data)), data)
+}
+
+// PwriteFrom writes n bytes at the offset from src (nil, or n bytes long),
+// split into FUSE-sized requests. The kernel keeps the requests of one
+// syscall in flight concurrently (async direct I/O through the FUSE
+// device), so segments overlap across daemon threads; the syscall
+// completes when the slowest segment does. A nil src writes length-only
+// with identical requests and timing (the bounce-buffer charge included);
+// otherwise the store keeps src, not a copy: do not modify it after the
+// call.
+func (fd *File) PwriteFrom(p *sim.Proc, off int64, n int64, src []byte) (int, error) {
 	m := fd.mount
 	var segErr error
 	wg := sim.NewWaitGroup(m.threads.Sim())
-	total := 0
-	for len(data) > 0 {
-		n := int64(len(data))
-		if n > m.costs.MaxRequest {
-			n = m.costs.MaxRequest
+	var pos int64
+	for pos < n {
+		seg := n - pos
+		if seg > m.costs.MaxRequest {
+			seg = m.costs.MaxRequest
 		}
-		seg := data[:n]
-		segOff := off
+		segOff := off + pos
+		var segSrc []byte
+		if src != nil {
+			segSrc = src[pos : pos+seg]
+		}
 		wg.Go("fuse-write", func(cp *sim.Proc) {
-			err := m.request(cp, n, func(cp *sim.Proc) error {
-				return fd.f.WriteAt(cp, segOff, seg)
+			err := m.request(cp, seg, func(cp *sim.Proc) error {
+				return fd.f.WriteAtFrom(cp, segOff, seg, segSrc)
 			})
 			if err != nil && segErr == nil {
 				segErr = err
 			}
 		})
-		total += int(n)
-		off += n
-		data = data[n:]
+		pos += seg
 	}
 	wg.Wait(p)
 	if segErr != nil {
 		return 0, fmt.Errorf("dfuse: pwrite: %w", segErr)
 	}
-	return total, nil
+	return int(pos), nil
 }
 
 // Pread reads n bytes at the offset, split into FUSE-sized requests kept in

@@ -175,8 +175,21 @@ type WriteExt struct {
 	Offset     int64
 	// Data is the extent's bytes. An array extent keeps Data itself, not
 	// a copy: do not modify it after the update.
-	Data   []byte
+	Data []byte
+	// Len is the length of a length-only array write, one whose Data is
+	// nil: the extent records its range and epoch but no content. With
+	// Data set, the length is len(Data) and Len is ignored.
+	Len    int64
 	Single bool
+}
+
+// length returns the bytes the extent writes: len(Data), or Len when Data
+// is nil. Wire size, device bytes and the stored extent all use it.
+func (w *WriteExt) length() int64 {
+	if w.Data != nil {
+		return int64(len(w.Data))
+	}
+	return w.Len
 }
 
 // ReadExt is one extent (or single value) in a fetch RPC.
@@ -264,8 +277,9 @@ func reqSize(body interface{}) int64 {
 	switch r := body.(type) {
 	case *UpdateReq:
 		n := int64(96)
-		for _, w := range r.Writes {
-			n += int64(len(w.Dkey) + len(w.Akey) + len(w.Data) + 32)
+		for i := range r.Writes {
+			w := &r.Writes[i]
+			n += int64(len(w.Dkey)+len(w.Akey)+32) + w.length()
 		}
 		return n
 	case *FetchReq:
@@ -315,17 +329,18 @@ func (e *Engine) handleUpdate(p *sim.Proc, r *UpdateReq) fabric.Response {
 	epoch := e.nextEpoch()
 	first := false
 	var bytes int64
-	for _, w := range r.Writes {
+	for i := range r.Writes {
+		w := &r.Writes[i]
 		var created bool
 		if w.Single {
 			created = cont.UpdateSingle(r.OID, w.Dkey, w.Akey, epoch, w.Data)
 		} else {
-			created = cont.UpdateArray(r.OID, w.Dkey, w.Akey, epoch, w.Offset, w.Data)
+			created = cont.UpdateArrayFrom(r.OID, w.Dkey, w.Akey, epoch, w.Offset, w.length(), w.Data)
 		}
 		if created {
 			first = true
 		}
-		bytes += int64(len(w.Data))
+		bytes += w.length()
 		p.Sleep(e.cfg.Costs.PerExtentCost)
 	}
 	if first {

@@ -28,13 +28,14 @@ import (
 	"daosim/internal/sim"
 )
 
-// VFD is the virtual file driver under an HDF5 file. WriteAt may keep data
-// itself, so the library never modifies a buffer after writing it.
-// ReadAtInto is the zero-copy read: it fills dst (len(dst) == n) in place,
-// or — with a nil dst — simulates the read with identical timing while
-// materializing nothing.
+// VFD is the virtual file driver under an HDF5 file. WriteAtFrom writes n
+// bytes from src (len(src) == n) and may keep src itself, so the library
+// never modifies a buffer after writing it; a nil src writes length-only
+// with identical timing. ReadAtInto is the zero-copy read: it fills dst
+// (len(dst) == n) in place, or — with a nil dst — simulates the read with
+// identical timing while materializing nothing.
 type VFD interface {
-	WriteAt(p *sim.Proc, off int64, data []byte) error
+	WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error
 	ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error)
 	ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
 	Sync(p *sim.Proc) error
@@ -47,8 +48,8 @@ type posixVFD struct{ fd *dfuse.File }
 // NewPosixVFD wraps a DFuse file as a VFD.
 func NewPosixVFD(fd *dfuse.File) VFD { return &posixVFD{fd: fd} }
 
-func (v *posixVFD) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	_, err := v.fd.Pwrite(p, off, data)
+func (v *posixVFD) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	_, err := v.fd.PwriteFrom(p, off, n, src)
 	return err
 }
 func (v *posixVFD) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
@@ -136,15 +137,22 @@ func Create(p *sim.Proc, vfd VFD, costs Costs) (*File, error) {
 	}
 	f.SetSieve(DefaultSieveSize)
 	p.Sleep(costs.LibOp)
-	if err := vfd.WriteAt(p, 0, f.encodeSuperblock(0, 0)); err != nil {
+	if err := f.writeMeta(p, 0, f.encodeSuperblock(0, 0)); err != nil {
 		return nil, fmt.Errorf("hdf5: create: %w", err)
 	}
 	return f, nil
 }
 
+// writeMeta writes a metadata block, which always carries its content.
+func (f *File) writeMeta(p *sim.Proc, off int64, b []byte) error {
+	return f.vfd.WriteAtFrom(p, off, int64(len(b)), b)
+}
+
 // Open reads an existing HDF5 file's superblock, object index, and dataset
 // headers (several small reads — the open cost the paper's HDF5 runs pay on
-// every rank).
+// every rank). Each dataset header is read from the copy the object index
+// keeps, never from the header block itself: the data sieve's window-0
+// flush covers that block and may have written it length-only.
 func Open(p *sim.Proc, vfd VFD, costs Costs) (*File, error) {
 	p.Sleep(costs.LibOp)
 	sb, err := vfd.ReadAt(p, 0, superblockSize)
@@ -210,7 +218,7 @@ func (f *File) CreateDataset(p *sim.Proc, name string, extent int64, chunkSize i
 	p.Sleep(f.costs.LibOp)
 	// The object header is written synchronously at creation: a small
 	// metadata write in the middle of the data stream.
-	if err := f.vfd.WriteAt(p, ds.headerOff, ds.encodeHeader()); err != nil {
+	if err := f.writeMeta(p, ds.headerOff, ds.encodeHeader()); err != nil {
 		return nil, fmt.Errorf("hdf5: dataset %s: %w", name, err)
 	}
 	return ds, nil
@@ -257,26 +265,36 @@ func decodeHeader(h []byte) *Dataset {
 // Write stores data at a byte offset within the dataset. The store may keep
 // data itself: do not modify it after the call.
 func (ds *Dataset) Write(p *sim.Proc, off int64, data []byte) error {
+	return ds.WriteFrom(p, off, int64(len(data)), data)
+}
+
+// WriteFrom stores n bytes from src (len(src) == n) at a byte offset within
+// the dataset. A nil src writes length-only: the same sieve window loads,
+// VFD requests and library charges, but no content, so a later read into a
+// buffer fails. The store may keep src itself: do not modify it after the
+// call.
+func (ds *Dataset) WriteFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	if !ds.file.writable {
 		return errors.New("hdf5: file not writable")
 	}
-	if off < 0 || off+int64(len(data)) > ds.Extent {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBounds, off, off+int64(len(data)), ds.Extent)
+	if off < 0 || off+n > ds.Extent {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfBounds, off, off+n, ds.Extent)
 	}
 	p.Sleep(ds.file.costs.LibOp)
 	if ds.Layout == layoutContiguous {
 		if ds.file.sieve != nil {
-			return ds.file.sieveWrite(p, ds.dataOff+off, data)
+			return ds.file.sieveWrite(p, ds.dataOff+off, n, src)
 		}
-		return ds.file.vfd.WriteAt(p, ds.dataOff+off, data)
+		return ds.file.vfd.WriteAtFrom(p, ds.dataOff+off, n, src)
 	}
 	// Chunked: split across chunks, allocating at EOF on first touch.
-	for len(data) > 0 {
-		ci := off / ds.chunkSize
-		inOff := off % ds.chunkSize
-		n := ds.chunkSize - inOff
-		if n > int64(len(data)) {
-			n = int64(len(data))
+	var pos int64
+	for pos < n {
+		ci := (off + pos) / ds.chunkSize
+		inOff := (off + pos) % ds.chunkSize
+		l := ds.chunkSize - inOff
+		if l > n-pos {
+			l = n - pos
 		}
 		ent, ok := ds.chunks[ci]
 		if !ok {
@@ -284,11 +302,14 @@ func (ds *Dataset) Write(p *sim.Proc, off int64, data []byte) error {
 			ds.chunks[ci] = ent
 			ds.file.dirty = true
 		}
-		if err := ds.file.vfd.WriteAt(p, ent.fileOff+inOff, data[:n]); err != nil {
+		var seg []byte
+		if src != nil {
+			seg = src[pos : pos+l]
+		}
+		if err := ds.file.vfd.WriteAtFrom(p, ent.fileOff+inOff, l, seg); err != nil {
 			return err
 		}
-		off += n
-		data = data[n:]
+		pos += l
 	}
 	return nil
 }
@@ -363,7 +384,7 @@ func (f *File) Flush(p *sim.Proc) error {
 		blocks := (len(ds.chunks) + indexBlockCap - 1) / indexBlockCap
 		for b := 0; b < blocks; b++ {
 			blockOff := f.alloc(int64(indexBlockCap * 24))
-			if err := f.vfd.WriteAt(p, blockOff, ds.encodeChunkBlock(b)); err != nil {
+			if err := f.writeMeta(p, blockOff, ds.encodeChunkBlock(b)); err != nil {
 				return err
 			}
 		}
@@ -380,10 +401,10 @@ func (f *File) Flush(p *sim.Proc) error {
 		idx = append(idx, rec...)
 		idx = append(idx, ds.encodeHeader()...)
 	}
-	if err := f.vfd.WriteAt(p, indexOff, idx); err != nil {
+	if err := f.writeMeta(p, indexOff, idx); err != nil {
 		return err
 	}
-	if err := f.vfd.WriteAt(p, 0, f.encodeSuperblock(indexOff, len(f.order))); err != nil {
+	if err := f.writeMeta(p, 0, f.encodeSuperblock(indexOff, len(f.order))); err != nil {
 		return err
 	}
 	f.dirty = false

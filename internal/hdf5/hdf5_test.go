@@ -13,6 +13,7 @@ import (
 	"daosim/internal/hdf5"
 	"daosim/internal/placement"
 	"daosim/internal/sim"
+	"daosim/internal/vos"
 )
 
 // withVFD provides a POSIX VFD over a dfuse mount on a small testbed.
@@ -205,7 +206,7 @@ func TestErrors(t *testing.T) {
 func TestOpenGarbageFails(t *testing.T) {
 	withVFD(t, func(p *sim.Proc, newVFD func(*sim.Proc, string, bool) hdf5.VFD) {
 		vfd := newVFD(p, "/garbage", true)
-		vfd.WriteAt(p, 0, fill(1024, 7))
+		vfd.WriteAtFrom(p, 0, 1024, fill(1024, 7))
 		if _, err := hdf5.Open(p, vfd, hdf5.DefaultCosts()); !errors.Is(err, hdf5.ErrNotHDF5) {
 			t.Errorf("err = %v", err)
 		}
@@ -254,6 +255,80 @@ func TestSieveAllocatedLazily(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; n >= uint64(hdf5.DefaultSieveSize) {
 			t.Errorf("Open + SetSieve(0) allocated %d B, want < %d", n, hdf5.DefaultSieveSize)
+		}
+	})
+}
+
+// TestLengthOnlyWritesThroughSieve writes a dataset length-only through the
+// data sieve. The first window also holds the superblock and the dataset
+// header, and its length-only flush shadows both; Close rewrites the
+// superblock and the object index keeps a header copy, so Open still
+// succeeds. The data then simulates without a destination and fails a read
+// into a buffer instead of returning zeros.
+func TestLengthOnlyWritesThroughSieve(t *testing.T) {
+	withVFD(t, func(p *sim.Proc, newVFD func(*sim.Proc, string, bool) hdf5.VFD) {
+		const extent, xfer = 1 << 20, 1 << 18
+		f, err := hdf5.Create(p, newVFD(p, "/lengthonly.h5", true), hdf5.DefaultCosts())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ds, err := f.CreateDataset(p, "d", extent, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if ds.DataOffset()%hdf5.DefaultSieveSize == 0 {
+			t.Fatal("data is window-aligned: the writes would bypass the sieve")
+		}
+		for off := int64(0); off < extent; off += xfer {
+			if err := ds.WriteFrom(p, off, xfer, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := f.Close(p); err != nil {
+			t.Error(err)
+			return
+		}
+		g, err := hdf5.Open(p, newVFD(p, "/lengthonly.h5", false), hdf5.DefaultCosts())
+		if err != nil {
+			t.Errorf("open after length-only writes: %v", err)
+			return
+		}
+		rd, err := g.OpenDataset(p, "d")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := rd.ReadInto(p, 0, extent, nil); err != nil {
+			t.Errorf("nil-dst read: %v", err)
+		}
+		if err := rd.ReadInto(p, 0, xfer, make([]byte, xfer)); !errors.Is(err, vos.ErrNoContent) {
+			t.Errorf("buffered read err = %v, want vos.ErrNoContent", err)
+		}
+	})
+}
+
+// TestSieveRejectsMixedWindow pins that one dirty sieve window never holds
+// both content and length-only writes, in either order.
+func TestSieveRejectsMixedWindow(t *testing.T) {
+	withVFD(t, func(p *sim.Proc, newVFD func(*sim.Proc, string, bool) hdf5.VFD) {
+		f, _ := hdf5.Create(p, newVFD(p, "/mixed.h5", true), hdf5.DefaultCosts())
+		ds, _ := f.CreateDataset(p, "d", 1<<20, 0)
+		if err := ds.Write(p, 0, fill(4096, 1)); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := ds.WriteFrom(p, 4096, 4096, nil); err == nil {
+			t.Error("length-only write into a content window accepted")
+		}
+		if err := ds.WriteFrom(p, 1<<19, 4096, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := ds.Write(p, 1<<19+4096, fill(4096, 2)); err == nil {
+			t.Error("content write into a length-only window accepted")
 		}
 	})
 }

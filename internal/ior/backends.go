@@ -12,12 +12,13 @@ import (
 	"daosim/internal/sim"
 )
 
-// handle is one open test file. readAtInto fills the caller's dst (len ==
-// n, holes as zeros) so one buffer serves every transfer; a nil dst
-// simulates the read with identical timing without materializing data —
-// what the driver uses when verification is off.
+// handle is one open test file. writeAt writes n bytes from src (len ==
+// n), or length-only from a nil src; readAtInto fills the caller's dst
+// (len == n, holes as zeros) so one buffer serves every transfer, and a
+// nil dst simulates the read with identical timing without materializing
+// data. With verification off runIteration passes nil to both.
 type handle interface {
-	writeAt(p *sim.Proc, off int64, data []byte) error
+	writeAt(p *sim.Proc, off int64, n int64, src []byte) error
 	readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
 	closeFile(p *sim.Proc) error
 }
@@ -76,8 +77,8 @@ type dfsBackend struct {
 
 type dfsHandle struct{ f *dfs.File }
 
-func (h *dfsHandle) writeAt(p *sim.Proc, off int64, data []byte) error {
-	return h.f.WriteAt(p, off, data)
+func (h *dfsHandle) writeAt(p *sim.Proc, off int64, n int64, src []byte) error {
+	return h.f.WriteAtFrom(p, off, n, src)
 }
 func (h *dfsHandle) readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return h.f.ReadAtInto(p, off, n, dst)
@@ -125,8 +126,8 @@ type posixBackend struct {
 
 type posixHandle struct{ fd *dfuse.File }
 
-func (h *posixHandle) writeAt(p *sim.Proc, off int64, data []byte) error {
-	_, err := h.fd.Pwrite(p, off, data)
+func (h *posixHandle) writeAt(p *sim.Proc, off int64, n int64, src []byte) error {
+	_, err := h.fd.PwriteFrom(p, off, n, src)
 	return err
 }
 func (h *posixHandle) readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
@@ -181,11 +182,11 @@ type mpiioHandle struct {
 	collective bool
 }
 
-func (h *mpiioHandle) writeAt(p *sim.Proc, off int64, data []byte) error {
+func (h *mpiioHandle) writeAt(p *sim.Proc, off int64, n int64, src []byte) error {
 	if h.collective {
-		return h.f.WriteAtAll(p, off, data)
+		return h.f.WriteAtAllFrom(p, off, n, src)
 	}
-	return h.f.WriteAt(p, off, data)
+	return h.f.WriteAtFrom(p, off, n, src)
 }
 func (h *mpiioHandle) readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	if h.collective {
@@ -242,8 +243,8 @@ type hdf5Handle struct {
 	ds *hdf5.Dataset
 }
 
-func (h *hdf5Handle) writeAt(p *sim.Proc, off int64, data []byte) error {
-	return h.ds.Write(p, off, data)
+func (h *hdf5Handle) writeAt(p *sim.Proc, off int64, n int64, src []byte) error {
+	return h.ds.WriteFrom(p, off, n, src)
 }
 func (h *hdf5Handle) readAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return h.ds.ReadInto(p, off, n, dst)

@@ -313,15 +313,6 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 	transfersPerBlock := int(cfg.BlockSize / cfg.TransferSize)
 	var writeSpan, readSpan time.Duration
 
-	// The store keeps every buffer it is handed, so a write buffer is never
-	// touched again. Unverified contents are irrelevant to timing and never
-	// observed: every rank's every write shares one buffer, filled once.
-	var shared []byte
-	if !cfg.Verify {
-		shared = make([]byte, cfg.TransferSize)
-		pattern(shared, 0, 0)
-	}
-
 	env.World.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
 		be, err := newBackend(cfg, env, ns, r)
 		if err != nil {
@@ -343,14 +334,19 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 				noteErr(fmt.Errorf("rank %d create: %w", r.ID(), err))
 				return
 			}
+			// Verified transfers each carry a fresh pattern-filled buffer,
+			// which the store keeps. Without verification nothing reads the
+			// contents back, and every layer's timing depends only on
+			// lengths: each write is length-only (a nil source), so no
+			// layer allocates, fills or retains its bytes.
 			for _, st := range cfg.opOrder(r.ID(), transfersPerBlock) {
 				off := cfg.offset(r.ID(), ranks, st[0], st[1])
-				buf := shared
+				var buf []byte
 				if cfg.Verify {
 					buf = make([]byte, cfg.TransferSize)
 					pattern(buf, r.ID(), off)
 				}
-				if err := h.writeAt(cp, off, buf); err != nil {
+				if err := h.writeAt(cp, off, cfg.TransferSize, buf); err != nil {
 					noteErr(fmt.Errorf("rank %d write: %w", r.ID(), err))
 					return
 				}

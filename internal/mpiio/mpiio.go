@@ -19,11 +19,13 @@ import (
 )
 
 // Driver is the ADIO device abstraction (one open handle per rank).
-// ReadAtInto is the zero-copy variant of ReadAt: it fills dst (len(dst) ==
-// n) in place, or — with a nil dst — simulates the read with identical
-// timing while materializing nothing.
+// WriteAtFrom writes n bytes from src (len(src) == n), or — with a nil src
+// — writes length-only with identical timing. ReadAtInto is the zero-copy
+// variant of ReadAt: it fills dst (len(dst) == n) in place, or — with a nil
+// dst — simulates the read with identical timing while materializing
+// nothing.
 type Driver interface {
-	WriteAt(p *sim.Proc, off int64, data []byte) error
+	WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error
 	ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error)
 	ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
 	Sync(p *sim.Proc) error
@@ -33,8 +35,8 @@ type Driver interface {
 // dfsDriver drives a DFS file directly.
 type dfsDriver struct{ f *dfs.File }
 
-func (d *dfsDriver) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	return d.f.WriteAt(p, off, data)
+func (d *dfsDriver) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	return d.f.WriteAtFrom(p, off, n, src)
 }
 func (d *dfsDriver) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
 	return d.f.ReadAt(p, off, n)
@@ -48,8 +50,8 @@ func (d *dfsDriver) Close(p *sim.Proc) error { return d.f.Close(p) }
 // posixDriver drives a file through a DFuse mount.
 type posixDriver struct{ fd *dfuse.File }
 
-func (d *posixDriver) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	_, err := d.fd.Pwrite(p, off, data)
+func (d *posixDriver) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	_, err := d.fd.PwriteFrom(p, off, n, src)
 	return err
 }
 func (d *posixDriver) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
@@ -153,7 +155,14 @@ func newFile(r *mpi.Rank, drv Driver, hints Hints) *File {
 // WriteAt performs an independent write at the byte offset. The
 // store keeps data, not a copy: do not modify it after the call.
 func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	return f.drv.WriteAt(p, off, data)
+	return f.WriteAtFrom(p, off, int64(len(data)), data)
+}
+
+// WriteAtFrom performs an independent write of n bytes at the byte offset
+// from src (len(src) == n). A nil src writes length-only with identical
+// timing.
+func (f *File) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	return f.drv.WriteAtFrom(p, off, n, src)
 }
 
 // ReadAt performs an independent read at the byte offset.
@@ -177,12 +186,17 @@ func (f *File) Close(p *sim.Proc) error { return f.drv.Close(p) }
 // piece is a shuffle unit in two-phase I/O.
 type piece struct {
 	Off  int64
-	Data []byte // nil in read-request phase
+	Data []byte // nil in read-request phase and for length-only writes
 	Len  int64
 	// Discard marks a read request whose bytes the requester will not
 	// observe: the aggregator answers with timing-equivalent empty pieces
 	// (exchange sizes unchanged) and skips materializing for it.
 	Discard bool
+	// Err carries an aggregator's failed covering read to the requester
+	// in an answer of unchanged size, so every rank leaves the collective
+	// with the error instead of some waiting on an exchange that never
+	// comes.
+	Err error
 }
 
 // aggDomains partitions [lo, hi) into one contiguous file domain per
@@ -238,20 +252,29 @@ func appendPiece(v interface{}, pc *piece) []*piece {
 	return append(v.([]*piece), pc)
 }
 
-// WriteAtAll performs a two-phase collective write: ranks shuffle their data
-// to node aggregators, which write coalesced contiguous runs. Every rank
+// WriteAtAll performs a two-phase collective write of data. Every rank
 // must call it (pass nil data for zero-length participation). The store
 // may keep data itself: do not modify it after the call.
 func (f *File) WriteAtAll(p *sim.Proc, off int64, data []byte) error {
-	lo, hi, ok := f.collectiveExtent(p, off, int64(len(data)))
+	return f.WriteAtAllFrom(p, off, int64(len(data)), data)
+}
+
+// WriteAtAllFrom performs a two-phase collective write of n bytes from src
+// (len(src) == n): ranks shuffle their pieces to node aggregators, which
+// write coalesced contiguous runs. A nil src writes length-only: pieces
+// carry only their lengths, exchanges keep their sizes, and an aggregator
+// writes an all-length-only run without gathering a buffer. Every rank
+// must call it (n == 0 for zero-length participation).
+func (f *File) WriteAtAllFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	lo, hi, ok := f.collectiveExtent(p, off, n)
 	if !ok {
 		return nil // nobody wrote anything
 	}
 	aggs, bounds := f.aggDomains(lo, hi)
 	vals := make([]interface{}, f.rank.Size())
 	sizes := make([]int64, f.rank.Size())
-	if len(data) > 0 {
-		routePieces(off, data, int64(len(data)), aggs, bounds, vals, sizes)
+	if n > 0 {
+		routePieces(off, src, n, aggs, bounds, vals, sizes)
 	}
 	incoming := f.rank.Exchange(p, vals, sizes)
 	// Aggregators coalesce and write their domain.
@@ -274,27 +297,36 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, data []byte) error {
 	return nil
 }
 
+// errMixedRun reports a coalesced run holding both content and length-only
+// pieces: its bytes can be neither gathered nor written length-only.
+var errMixedRun = errors.New("mpiio: collective write run mixes content and length-only pieces")
+
 // writeCoalesced sorts pieces and writes contiguous runs, bounded by
 // CBBufSize per driver call. The store keeps every buffer it is handed, so
-// a run of one piece is written straight from the sender's bytes and a
-// longer run is gathered into a buffer of exactly its own size (a
-// CBBufSize buffer per run would pin 16 MiB behind every small piece).
+// a run of one piece is written straight from the sender's bytes, a longer
+// run is gathered into a buffer of exactly its own size (a CBBufSize
+// buffer per run would pin 16 MiB behind every small piece), and a run of
+// length-only pieces is written length-only without a buffer.
 func (f *File) writeCoalesced(p *sim.Proc, pieces []*piece) error {
 	sort.Slice(pieces, func(i, j int) bool { return pieces[i].Off < pieces[j].Off })
 	for len(pieces) > 0 {
 		n, size := 1, pieces[0].Len
+		lengthOnly := pieces[0].Data == nil
 		for n < len(pieces) && pieces[n].Off == pieces[0].Off+size && size+pieces[n].Len <= f.hints.CBBufSize {
+			if (pieces[n].Data == nil) != lengthOnly {
+				return errMixedRun
+			}
 			size += pieces[n].Len
 			n++
 		}
 		run := pieces[0].Data
-		if n > 1 {
+		if n > 1 && !lengthOnly {
 			run = make([]byte, 0, size)
 			for _, pc := range pieces[:n] {
 				run = append(run, pc.Data...)
 			}
 		}
-		if err := f.drv.WriteAt(p, pieces[0].Off, run); err != nil {
+		if err := f.drv.WriteAtFrom(p, pieces[0].Off, size, run); err != nil {
 			return err
 		}
 		pieces = pieces[n:]
@@ -391,12 +423,10 @@ func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error 
 			}
 			buf = f.readBuf[:rhi-rlo]
 		}
-		if err := f.drv.ReadAtInto(p, rlo, rhi-rlo, buf); err != nil {
-			return err
-		}
+		err := f.drv.ReadAtInto(p, rlo, rhi-rlo, buf)
 		for i, rq := range myReqs {
-			pc := &piece{Off: rq.Off, Len: rq.Len}
-			if !rq.Discard {
+			pc := &piece{Off: rq.Off, Len: rq.Len, Err: err}
+			if !rq.Discard && err == nil {
 				pc.Data = buf[rq.Off-rlo : rq.Off-rlo+rq.Len]
 			}
 			answers[reqFrom[i]] = appendPiece(answers[reqFrom[i]], pc)
@@ -407,12 +437,14 @@ func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error 
 
 	// Assemble this rank's buffer from the answers; the domain partition
 	// covers [off, off+n) exactly, so every byte of dst is written.
-	if dst == nil {
-		return nil
-	}
 	for _, rcv := range incoming {
 		for _, pc := range rcv.Val.([]*piece) {
-			copy(dst[pc.Off-off:pc.Off-off+pc.Len], pc.Data)
+			if pc.Err != nil {
+				return fmt.Errorf("mpiio: collective read: %w", pc.Err)
+			}
+			if dst != nil {
+				copy(dst[pc.Off-off:pc.Off-off+pc.Len], pc.Data)
+			}
 		}
 	}
 	return nil

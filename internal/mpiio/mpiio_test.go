@@ -2,6 +2,7 @@ package mpiio_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"daosim/internal/cluster"
@@ -13,6 +14,7 @@ import (
 	"daosim/internal/mpiio"
 	"daosim/internal/placement"
 	"daosim/internal/sim"
+	"daosim/internal/vos"
 )
 
 // env is a shared-file test environment: a world, per-node DFS mounts, and
@@ -233,6 +235,59 @@ func TestCollectiveZeroLengthParticipant(t *testing.T) {
 			got, err := f.ReadAtAll(cp, 0, 8192)
 			if err != nil || !bytes.Equal(got, pattern(0, 8192)) {
 				t.Errorf("rank %d read mismatch (%v)", r.ID(), err)
+			}
+		})
+	})
+}
+
+// TestCollectiveLengthOnly pins the two-phase rules for length-only
+// writes: an all-length-only collective write succeeds, a collective read
+// without a destination simulates it, and a collective read into buffers
+// fails on every rank with vos.ErrNoContent (the aggregators' covering
+// reads fail, and their answers carry the error to each requester).
+func TestCollectiveLengthOnly(t *testing.T) {
+	const ranks, blk = 4, 1 << 18
+	withEnv(t, ranks, func(p *sim.Proc, e *env) {
+		e.world.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
+			f, err := mpiio.OpenDFS(cp, r, e.fs[r.ID()], "/lengthonly.dat", true, dfs.CreateOpts{}, mpiio.DefaultHints(2))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			off := int64(r.ID()) * blk
+			if err := f.WriteAtAllFrom(cp, off, blk, nil); err != nil {
+				t.Errorf("rank %d: length-only collective write: %v", r.ID(), err)
+				return
+			}
+			if err := f.ReadAtAllInto(cp, off, blk, nil); err != nil {
+				t.Errorf("rank %d: nil-dst collective read: %v", r.ID(), err)
+			}
+			if err := f.ReadAtAllInto(cp, off, blk, make([]byte, blk)); !errors.Is(err, vos.ErrNoContent) {
+				t.Errorf("rank %d: buffered collective read err = %v, want vos.ErrNoContent", r.ID(), err)
+			}
+			f.Close(cp)
+		})
+	})
+}
+
+// TestCollectiveRejectsMixedRun pins that an aggregator never coalesces
+// content and length-only pieces into one run: the collective write fails
+// on every rank.
+func TestCollectiveRejectsMixedRun(t *testing.T) {
+	const ranks, blk = 4, 1 << 16
+	withEnv(t, ranks, func(p *sim.Proc, e *env) {
+		e.world.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
+			f, err := mpiio.OpenDFS(cp, r, e.fs[r.ID()], "/mixed.dat", true, dfs.CreateOpts{}, mpiio.DefaultHints(2))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var src []byte
+			if r.ID() == 0 {
+				src = pattern(0, blk)
+			}
+			if err := f.WriteAtAllFrom(cp, int64(r.ID())*blk, blk, src); err == nil {
+				t.Errorf("rank %d: mixed collective write accepted", r.ID())
 			}
 		})
 	})

@@ -59,7 +59,7 @@ func BenchmarkExtentInsert(b *testing.B) {
 	data := make([]byte, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Insert(int64(i)*4096, Epoch(i+1), data)
+		tr.Insert(int64(i)*4096, Epoch(i+1), 4096, data)
 	}
 }
 
@@ -68,7 +68,7 @@ func BenchmarkExtentRead(b *testing.B) {
 	data := make([]byte, 4096)
 	const n = 1024
 	for i := 0; i < n; i++ {
-		tr.Insert(int64(i)*4096, Epoch(i+1), data)
+		tr.Insert(int64(i)*4096, Epoch(i+1), 4096, data)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,7 +86,7 @@ func BenchmarkDataPathReadInto(b *testing.B) {
 	data := make([]byte, 4096)
 	const n = 1024
 	for i := 0; i < n; i++ {
-		tr.Insert(int64(i)*4096, Epoch(i+1), data)
+		tr.Insert(int64(i)*4096, Epoch(i+1), 4096, data)
 	}
 	dst := make([]byte, 4096)
 	b.ReportAllocs()
@@ -101,7 +101,7 @@ func TestReadIntoZeroAlloc(t *testing.T) {
 	data := make([]byte, 4096)
 	const n = 16
 	for i := 0; i < n; i++ {
-		tr.Insert(int64(i)*4096, Epoch(i+1), data)
+		tr.Insert(int64(i)*4096, Epoch(i+1), 4096, data)
 	}
 	dst := make([]byte, 8192)
 	i := 0

@@ -1,6 +1,9 @@
 package vos
 
-import "sort"
+import (
+	"errors"
+	"sort"
+)
 
 // Epoch is a logical timestamp. Updates are tagged with the epoch at which
 // they were made; fetches read the state visible at a given epoch.
@@ -9,16 +12,23 @@ type Epoch uint64
 // EpochMax reads the latest state.
 const EpochMax = Epoch(^uint64(0))
 
-// Extent is one versioned write to a byte-array akey: Data covers
-// [Offset, Offset+len(Data)) as of Epoch.
+// ErrNoContent reports a materializing read to which a length-only extent
+// supplies a visible byte: the store knows the byte was written but holds
+// no content for it, and a read never answers that with zeros.
+var ErrNoContent = errors.New("vos: read of a length-only extent")
+
+// Extent is one versioned write to a byte-array akey: it covers
+// [Offset, Offset+Len) as of Epoch. Data holds those Len bytes, or is nil
+// for a length-only write, which records only the range and epoch.
 type Extent struct {
 	Offset int64
 	Epoch  Epoch
+	Len    int64
 	Data   []byte
 }
 
 // End returns the first byte offset past the extent.
-func (e Extent) End() int64 { return e.Offset + int64(len(e.Data)) }
+func (e Extent) End() int64 { return e.Offset + e.Len }
 
 // ExtentTree stores the versioned extents of one array akey, ordered by
 // (offset, epoch). It is the simulator's analogue of VOS's evtree. Reads
@@ -45,14 +55,17 @@ func (t *ExtentTree) Len() int { return len(t.extents) }
 // Size returns the high-water mark: one past the last written byte.
 func (t *ExtentTree) Size() int64 { return t.maxEnd }
 
-// Insert records a write of data at offset with the given epoch. The tree
-// keeps data itself, not a copy: the caller must not modify it after the
-// call.
-func (t *ExtentTree) Insert(offset int64, epoch Epoch, data []byte) {
-	if len(data) == 0 {
+// Insert records a write of n bytes at offset with the given epoch. data
+// is nil for a length-only write, or else n bytes long; the tree keeps data
+// itself, not a copy: the caller must not modify it after the call.
+func (t *ExtentTree) Insert(offset int64, epoch Epoch, n int64, data []byte) {
+	if data != nil && int64(len(data)) != n {
+		panic("vos: Insert data length mismatch")
+	}
+	if n <= 0 {
 		return
 	}
-	e := Extent{Offset: offset, Epoch: epoch, Data: data}
+	e := Extent{Offset: offset, Epoch: epoch, Len: n, Data: data}
 	i := sort.Search(len(t.extents), func(i int) bool {
 		x := t.extents[i]
 		return x.Offset > e.Offset || (x.Offset == e.Offset && x.Epoch > e.Epoch)
@@ -68,7 +81,8 @@ func (t *ExtentTree) Insert(offset int64, epoch Epoch, data []byte) {
 // Read resolves the bytes of [offset, offset+length) visible at epoch.
 // Unwritten bytes read as zero (holes). The second result reports how many
 // bytes at the start of the range were actually covered by writes visible at
-// the epoch (0 when the whole range is a hole).
+// the epoch (0 when the whole range is a hole). A visible byte whose newest
+// write is length-only fails the read with ErrNoContent.
 //
 // This is the hottest path of the whole simulator — every simulated fetch
 // lands here with transfer-sized ranges — so it avoids the naive
@@ -77,7 +91,7 @@ func (t *ExtentTree) Insert(offset int64, epoch Epoch, data []byte) {
 // stops at the binary-searched first extent starting past the range, and a
 // read fully covered by a single extent copies it without first zeroing a
 // buffer. Results are byte-for-byte those of the straightforward overlay.
-func (t *ExtentTree) Read(offset int64, length int, epoch Epoch) ([]byte, int64) {
+func (t *ExtentTree) Read(offset int64, length int, epoch Epoch) ([]byte, int64, error) {
 	end := offset + int64(length)
 	overlapping, covered := t.visible(offset, end, epoch)
 
@@ -87,13 +101,18 @@ func (t *ExtentTree) Read(offset int64, length int, epoch Epoch) ([]byte, int64)
 	// overwrite every byte.
 	if len(overlapping) == 1 {
 		if e := overlapping[0]; e.Offset <= offset && e.End() >= end {
-			return append([]byte(nil), e.Data[offset-e.Offset:end-e.Offset]...), covered
+			if e.Data == nil {
+				return nil, covered, ErrNoContent
+			}
+			return append([]byte(nil), e.Data[offset-e.Offset:end-e.Offset]...), covered, nil
 		}
 	}
 
 	buf := make([]byte, length)
-	t.overlay(buf, overlapping, offset, end)
-	return buf, covered
+	if err := t.overlay(buf, overlapping, offset, end); err != nil {
+		return nil, covered, err
+	}
+	return buf, covered, nil
 }
 
 // ReadInto resolves the bytes of [offset, offset+length) visible at epoch
@@ -101,28 +120,32 @@ func (t *ExtentTree) Read(offset int64, length int, epoch Epoch) ([]byte, int64)
 // (holes as zeros), so callers can reuse buffers across reads. A nil dst
 // performs the identical visibility walk without materializing any bytes —
 // the geometry-only mode backing no-materialize reads, whose covered result
-// and cost are byte-identical to the materializing call. The return value is
-// Read's covered-prefix length. Steady-state calls allocate nothing.
-func (t *ExtentTree) ReadInto(dst []byte, offset int64, length int, epoch Epoch) int64 {
+// and cost are byte-identical to the materializing call, and which never
+// fails. The return value is Read's covered-prefix length; like Read, a
+// non-nil dst fails with ErrNoContent when a length-only extent supplies
+// any visible byte. Steady-state calls allocate nothing.
+func (t *ExtentTree) ReadInto(dst []byte, offset int64, length int, epoch Epoch) (int64, error) {
 	if dst != nil && len(dst) != length {
 		panic("vos: ReadInto dst length mismatch")
 	}
 	end := offset + int64(length)
 	overlapping, covered := t.visible(offset, end, epoch)
 	if dst == nil {
-		return covered
+		return covered, nil
 	}
 	// A range fully covered by one extent needs no pre-zeroing: the copy
 	// overwrites every destination byte.
 	if len(overlapping) == 1 {
 		if e := overlapping[0]; e.Offset <= offset && e.End() >= end {
+			if e.Data == nil {
+				return covered, ErrNoContent
+			}
 			copy(dst, e.Data[offset-e.Offset:end-e.Offset])
-			return covered
+			return covered, nil
 		}
 	}
 	clear(dst)
-	t.overlay(dst, overlapping, offset, end)
-	return covered
+	return covered, t.overlay(dst, overlapping, offset, end)
 }
 
 // visible collects the extents overlapping [offset, end) that are visible at
@@ -164,8 +187,11 @@ func (t *ExtentTree) visible(offset, end int64, epoch Epoch) ([]Extent, int64) {
 // epoch wins for every byte), so the overlapping set is sorted by epoch
 // first; the insertion sort is stable, keeping equal-epoch extents in offset
 // order — exactly the order the (offset, epoch)-sorted tree would overlay
-// them in — and allocation-free, unlike sort.SliceStable.
-func (t *ExtentTree) overlay(buf []byte, overlapping []Extent, offset, end int64) {
+// them in — and allocation-free, unlike sort.SliceStable. In that order a
+// byte's newest write is the last extent covering it, so a length-only
+// extent supplies a visible byte exactly when the extents after it leave
+// part of its range uncovered; that fails with ErrNoContent.
+func (t *ExtentTree) overlay(buf []byte, overlapping []Extent, offset, end int64) error {
 	for i := 1; i < len(overlapping); i++ {
 		e := overlapping[i]
 		j := i
@@ -175,7 +201,7 @@ func (t *ExtentTree) overlay(buf []byte, overlapping []Extent, offset, end int64
 		}
 		overlapping[j] = e
 	}
-	for _, e := range overlapping {
+	for i, e := range overlapping {
 		lo := e.Offset
 		if lo < offset {
 			lo = offset
@@ -184,8 +210,32 @@ func (t *ExtentTree) overlay(buf []byte, overlapping []Extent, offset, end int64
 		if hi > end {
 			hi = end
 		}
+		if e.Data == nil {
+			if !shadowed(overlapping[i+1:], lo, hi) {
+				return ErrNoContent
+			}
+			continue
+		}
 		copy(buf[lo-offset:hi-offset], e.Data[lo-e.Offset:hi-e.Offset])
 	}
+	return nil
+}
+
+// shadowed reports whether the union of the later extents covers [lo, hi).
+func shadowed(later []Extent, lo, hi int64) bool {
+	for lo < hi {
+		next := lo
+		for _, e := range later {
+			if e.Offset <= lo && e.End() > next {
+				next = e.End()
+			}
+		}
+		if next == lo {
+			return false
+		}
+		lo = next
+	}
+	return true
 }
 
 // VisibleSize returns one past the last byte visible at epoch.

@@ -150,6 +150,16 @@ func (c *Container) FetchSingle(oid ObjectID, dk, ak []byte, epoch Epoch) ([]byt
 // keeps data, not a copy: do not modify it after the call. It returns true
 // when the object shard was created by this update.
 func (c *Container) UpdateArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, data []byte) bool {
+	return c.UpdateArrayFrom(oid, dk, ak, epoch, offset, int64(len(data)), data)
+}
+
+// UpdateArrayFrom writes n bytes into an array akey at the byte offset from
+// data, which is nil or n bytes long. A nil data is a length-only write:
+// the extent records its range and epoch but no content, and a later
+// materializing fetch of a byte it supplies fails with ErrNoContent. The
+// store keeps data, not a copy: do not modify it after the call. It returns
+// true when the object shard was created by this update.
+func (c *Container) UpdateArrayFrom(oid ObjectID, dk, ak []byte, epoch Epoch, offset, n int64, data []byte) bool {
 	obj, created := c.getObject(oid, true)
 	a := obj.getDkey(dk, true).getAkey(ak, true)
 	if a.kind == kindSingle {
@@ -159,12 +169,13 @@ func (c *Container) UpdateArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset
 		a.kind = kindArray
 		a.extents = NewExtentTree()
 	}
-	a.extents.Insert(offset, epoch, data)
+	a.extents.Insert(offset, epoch, n, data)
 	return created
 }
 
 // FetchArray reads length bytes at offset visible at epoch. Holes read as
-// zeros; a fully-absent akey returns ErrNotFound.
+// zeros; a fully-absent akey returns ErrNotFound, and a byte whose newest
+// write is length-only fails the fetch with ErrNoContent.
 func (c *Container) FetchArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, length int) ([]byte, error) {
 	a, err := c.lookupAkey(oid, dk, ak)
 	if err != nil {
@@ -173,15 +184,16 @@ func (c *Container) FetchArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset 
 	if a.kind != kindArray {
 		return nil, fmt.Errorf("%w: akey %q is not an array", ErrNotFound, ak)
 	}
-	buf, _ := a.extents.Read(offset, length, epoch)
-	return buf, nil
+	buf, _, err := a.extents.Read(offset, length, epoch)
+	return buf, err
 }
 
 // FetchArrayInto reads length bytes at offset visible at epoch into dst,
 // which must be length bytes long (holes read as zeros; every byte of dst is
 // written). A nil dst performs the identical lookup and visibility walk
 // without materializing bytes — absence semantics (ErrNotFound) are exactly
-// FetchArray's either way.
+// FetchArray's either way, and so is ErrNoContent for a non-nil dst; a nil
+// dst never fails on a length-only extent.
 func (c *Container) FetchArrayInto(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, length int, dst []byte) error {
 	a, err := c.lookupAkey(oid, dk, ak)
 	if err != nil {
@@ -190,8 +202,8 @@ func (c *Container) FetchArrayInto(oid ObjectID, dk, ak []byte, epoch Epoch, off
 	if a.kind != kindArray {
 		return fmt.Errorf("%w: akey %q is not an array", ErrNotFound, ak)
 	}
-	a.extents.ReadInto(dst, offset, length, epoch)
-	return nil
+	_, err = a.extents.ReadInto(dst, offset, length, epoch)
+	return err
 }
 
 // ArraySize returns the akey's visible high-water mark at epoch, or 0 when
