@@ -31,31 +31,16 @@ func (ct *Container) OpenArray(p *sim.Proc, oid vos.ObjectID) (*Array, error) {
 	return &Array{Obj: obj, ChunkSize: ct.Props.ChunkSize}, nil
 }
 
-// chunkSpan describes the intersection of an I/O with one chunk.
-type chunkSpan struct {
-	chunk  int64 // chunk index
-	inOff  int64 // offset within the chunk
-	bufLo  int64 // offset within the caller's buffer
-	length int64
+// chunk returns the piece of [off, off+n) that lies in off's chunk: the
+// chunk index, the offset within it, and the piece's length.
+func (a *Array) chunk(off, n int64) (idx, inOff, length int64) {
+	idx, inOff = off/a.ChunkSize, off%a.ChunkSize
+	return idx, inOff, min(a.ChunkSize-inOff, n)
 }
 
-// spans splits [off, off+n) into per-chunk pieces.
-func (a *Array) spans(off, n int64) []chunkSpan {
-	var out []chunkSpan
-	var bufLo int64
-	for n > 0 {
-		chunk := off / a.ChunkSize
-		inOff := off % a.ChunkSize
-		l := a.ChunkSize - inOff
-		if l > n {
-			l = n
-		}
-		out = append(out, chunkSpan{chunk: chunk, inOff: inOff, bufLo: bufLo, length: l})
-		off += l
-		n -= l
-		bufLo += l
-	}
-	return out
+// chunks returns how many chunks [off, off+n) touches, for n > 0.
+func (a *Array) chunks(off, n int64) int {
+	return int((off+n-1)/a.ChunkSize - off/a.ChunkSize + 1)
 }
 
 // Write stores data at the byte offset. The store keeps data, not a copy:
@@ -76,19 +61,20 @@ func (a *Array) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	if src != nil && int64(len(src)) != n {
 		return fmt.Errorf("daos: array write from %d-byte buffer, want %d", len(src), n)
 	}
-	spans := a.spans(off, n)
-	writes := make([]engine.WriteExt, 0, len(spans))
-	for _, sp := range spans {
+	writes := make([]engine.WriteExt, 0, a.chunks(off, n))
+	for done := int64(0); done < n; {
+		idx, inOff, l := a.chunk(off+done, n-done)
 		w := engine.WriteExt{
-			Dkey:   engine.ChunkDkey(sp.chunk),
+			Dkey:   engine.ChunkDkey(idx),
 			Akey:   arrayAkey,
-			Offset: sp.inOff,
-			Len:    sp.length,
+			Offset: inOff,
+			Len:    l,
 		}
 		if src != nil {
-			w.Data = src[sp.bufLo : sp.bufLo+sp.length]
+			w.Data = src[done : done+l]
 		}
 		writes = append(writes, w)
+		done += l
 	}
 	return a.Obj.Update(p, writes)
 }
@@ -106,33 +92,33 @@ func (a *Array) ReadAtInto(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst
 	if dst != nil && int64(len(dst)) != n {
 		return fmt.Errorf("daos: array read into %d-byte buffer, want %d", len(dst), n)
 	}
-	spans := a.spans(off, n)
-	reads := make([]engine.ReadExt, 0, len(spans))
-	for _, sp := range spans {
+	reads := make([]engine.ReadExt, 0, a.chunks(off, n))
+	for done := int64(0); done < n; {
+		idx, inOff, l := a.chunk(off+done, n-done)
 		rd := engine.ReadExt{
-			Dkey:   engine.ChunkDkey(sp.chunk),
+			Dkey:   engine.ChunkDkey(idx),
 			Akey:   arrayAkey,
-			Offset: sp.inOff,
-			Length: int(sp.length),
+			Offset: inOff,
+			Length: int(l),
 		}
 		if dst == nil {
 			rd.Discard = true
 		} else {
-			rd.Dst = dst[sp.bufLo : sp.bufLo+sp.length]
+			rd.Dst = dst[done : done+l]
 		}
 		reads = append(reads, rd)
+		done += l
 	}
 	data, err := a.Obj.Fetch(p, reads, epoch)
 	if err != nil {
 		return err
 	}
-	if dst != nil {
-		// A nil entry is a chunk absent on its shard (never written): its
-		// span is a hole, and holes read as zeros even into reused buffers.
-		for i, sp := range spans {
-			if data[i] == nil {
-				clear(dst[sp.bufLo : sp.bufLo+sp.length])
-			}
+	// A nil entry is a chunk absent on its shard (never written): its span
+	// is a hole, and holes read as zeros even into reused buffers. A
+	// discarded read has no Dst to clear.
+	for i, rd := range reads {
+		if data[i] == nil {
+			clear(rd.Dst)
 		}
 	}
 	return nil

@@ -190,18 +190,21 @@ var (
 	ErrStaleLayout = errors.New("daos: stale layout")
 )
 
-// Object is an open object handle with its computed layout.
+// Object is an open object handle with its layout.
 type Object struct {
-	cont   *Container
-	OID    vos.ObjectID
+	cont *Container
+	OID  vos.ObjectID
+	// Layout is the pool map's layout of OID, shared with every other
+	// handle on the object at the same map version: read it, never modify
+	// it.
 	Layout *placement.Layout
 }
 
-// OpenObject opens oid, computing its layout and charging the per-shard
-// open cost.
+// OpenObject opens oid, looking up its layout and charging the per-shard
+// open cost (the cost is charged whether or not the pool map had the
+// layout cached: every handle resolves its own shards).
 func (ct *Container) OpenObject(p *sim.Proc, oid vos.ObjectID) (*Object, error) {
-	m := ct.Pool.client.registry.PoolMap()
-	layout, err := placement.Compute(oid, m)
+	layout, err := ct.Pool.client.registry.PoolMap().Layout(oid)
 	if err != nil {
 		return nil, fmt.Errorf("daos: open %v: %w", oid, err)
 	}
@@ -209,14 +212,14 @@ func (ct *Container) OpenObject(p *sim.Proc, oid vos.ObjectID) (*Object, error) 
 	return &Object{cont: ct, OID: oid, Layout: layout}, nil
 }
 
-// refresh recomputes the layout against the current pool map (after
+// refresh moves the handle to the layout on the current pool map (after
 // exclusions).
 func (o *Object) refresh() error {
 	m := o.cont.Pool.client.registry.PoolMap()
 	if o.Layout.MapVersion == m.Version {
 		return nil
 	}
-	layout, err := placement.Compute(o.OID, m)
+	layout, err := m.Layout(o.OID)
 	if err != nil {
 		return err
 	}
@@ -252,13 +255,15 @@ func (o *Object) call(p *sim.Proc, targetID int, body interface{}) fabric.Respon
 	})
 }
 
-// targetWrites groups writes by destination target. pos holds each write's
-// index in the caller's batch, parallel to writes, so a failed group can be
-// retried without duplicating writes that appear in several groups.
+// targetWrites is one update RPC: the writes bound for one target. pos
+// holds each write's index in the attempt's batch, parallel to writes, so a
+// failed group can be retried without duplicating writes that appear in
+// several groups. err is the RPC's outcome.
 type targetWrites struct {
 	target int
 	writes []engine.WriteExt
 	pos    []int
+	err    error
 }
 
 // Failover bounds for I/O against a freshly killed engine: an RPC that
@@ -289,32 +294,33 @@ func (o *Object) Update(p *sim.Proc, writes []engine.WriteExt) error {
 		}
 		groups := o.groupWrites(remaining)
 		wg := sim.NewWaitGroup(c.sim)
-		groupErrs := make([]error, len(groups))
 		for gi := range groups {
-			gi, g := gi, &groups[gi]
+			g := &groups[gi]
 			wg.Go("daos-update", func(cp *sim.Proc) {
-				resp := o.call(cp, g.target, &engine.UpdateReq{
+				g.err = o.call(cp, g.target, &engine.UpdateReq{
 					Cont:   o.cont.UUID,
 					OID:    o.OID,
 					Target: g.target,
 					Writes: g.writes,
-				})
-				groupErrs[gi] = resp.Err
+				}).Err
 			})
 			// Sub-RPC issuance is serialized on the client core.
 			p.Sleep(c.costs.RPCIssue)
 		}
 		wg.Wait(p)
-		retry := make([]bool, len(remaining))
+		var retry []bool
 		nRetry := 0
-		for gi, err := range groupErrs {
-			if err == nil {
+		for _, g := range groups {
+			if g.err == nil {
 				continue
 			}
-			if !errors.Is(err, engine.ErrEngineDown) || attempt >= maxFailover {
-				return fmt.Errorf("daos: update: %w", err)
+			if !errors.Is(g.err, engine.ErrEngineDown) || attempt >= maxFailover {
+				return fmt.Errorf("daos: update: %w", g.err)
 			}
-			for _, pos := range groups[gi].pos {
+			if retry == nil {
+				retry = make([]bool, len(remaining))
+			}
+			for _, pos := range g.pos {
 				if !retry[pos] {
 					retry[pos] = true
 					nRetry++
@@ -335,37 +341,41 @@ func (o *Object) Update(p *sim.Proc, writes []engine.WriteExt) error {
 	}
 }
 
-// groupWrites buckets writes per (shard target x replica).
+// groupWrites buckets writes per (shard target x replica), groups in order
+// of first appearance. A group's first write is a capped subslice of the
+// batch, so a write is copied only when a second one joins its group.
 func (o *Object) groupWrites(writes []engine.WriteExt) []targetWrites {
-	byTarget := make(map[int]*targetWrites)
-	var order []int
+	pos := make([]int, len(writes))
+	// Every write goes to each replica of one shard, so no more than this
+	// many groups form.
+	groups := make([]targetWrites, 0, min(len(writes), o.Layout.NumShards())*o.Layout.Class.Replicas)
 	for i, w := range writes {
-		shard := o.shardForDkey(w.Dkey)
-		for _, tgt := range o.Layout.Shards[shard] {
-			g, ok := byTarget[tgt]
-			if !ok {
-				g = &targetWrites{target: tgt}
-				byTarget[tgt] = g
-				order = append(order, tgt)
+		pos[i] = i
+		for _, tgt := range o.Layout.Shards[o.shardForDkey(w.Dkey)] {
+			gi := 0
+			for gi < len(groups) && groups[gi].target != tgt {
+				gi++
 			}
-			g.writes = append(g.writes, w)
-			g.pos = append(g.pos, i)
+			if gi == len(groups) {
+				groups = append(groups, targetWrites{target: tgt, writes: writes[i : i+1 : i+1], pos: pos[i : i+1 : i+1]})
+				continue
+			}
+			groups[gi].writes = append(groups[gi].writes, w)
+			groups[gi].pos = append(groups[gi].pos, i)
 		}
 	}
-	out := make([]targetWrites, 0, len(order))
-	for _, tgt := range order {
-		out = append(out, *byTarget[tgt])
-	}
-	return out
+	return groups
 }
 
-// fetchGroup is one fetch RPC's reads with their positions in the caller's
-// batch.
+// fetchGroup is one fetch RPC: the reads bound for one shard, with their
+// positions in the caller's batch, and the shard's replica targets as the
+// layout named them when the group formed. err is the RPC's outcome.
 type fetchGroup struct {
-	target  int
-	replica []int // fallback replica targets
-	reads   []engine.ReadExt
-	pos     []int
+	shard    int
+	replicas []int
+	reads    []engine.ReadExt
+	pos      []int
+	err      error
 }
 
 // Fetch reads a batch of extents at the given epoch (0 = latest), returning
@@ -377,38 +387,21 @@ type fetchGroup struct {
 func (o *Object) Fetch(p *sim.Proc, reads []engine.ReadExt, epoch vos.Epoch) ([][]byte, error) {
 	c := o.cont.Pool.client
 	out := make([][]byte, len(reads))
-	remaining := make([]int, len(reads))
-	for i := range reads {
-		remaining[i] = i
+	batch, pos := reads, make([]int, len(reads))
+	for i := range pos {
+		pos[i] = i
 	}
 	for attempt := 0; ; attempt++ {
 		if err := o.refresh(); err != nil {
 			return nil, fmt.Errorf("daos: fetch: %w", err)
 		}
-		byShard := make(map[int]*fetchGroup)
-		var order []int
-		for _, pos := range remaining {
-			rd := reads[pos]
-			shard := o.shardForDkey(rd.Dkey)
-			g, ok := byShard[shard]
-			if !ok {
-				g = &fetchGroup{
-					target:  o.Layout.Shards[shard][0],
-					replica: o.Layout.Shards[shard],
-				}
-				byShard[shard] = g
-				order = append(order, shard)
-			}
-			g.reads = append(g.reads, rd)
-			g.pos = append(g.pos, pos)
-		}
+		groups := o.groupReads(batch, pos)
 		wg := sim.NewWaitGroup(c.sim)
-		groupErrs := make([]error, len(order))
-		for oi, shard := range order {
-			oi, g := oi, byShard[shard]
+		for gi := range groups {
+			g := &groups[gi]
 			wg.Go("daos-fetch", func(cp *sim.Proc) {
 				var resp fabric.Response
-				for _, tgt := range g.replica {
+				for _, tgt := range g.replicas {
 					resp = o.call(cp, tgt, &engine.FetchReq{
 						Cont:   o.cont.UUID,
 						OID:    o.OID,
@@ -421,33 +414,58 @@ func (o *Object) Fetch(p *sim.Proc, reads []engine.ReadExt, epoch vos.Epoch) ([]
 					}
 				}
 				if resp.Err != nil {
-					groupErrs[oi] = resp.Err
+					g.err = resp.Err
 					return
 				}
 				fr := resp.Body.(*engine.FetchResp)
-				for j, pos := range g.pos {
-					out[pos] = fr.Data[j]
+				for j, at := range g.pos {
+					out[at] = fr.Data[j]
 				}
 			})
 			p.Sleep(c.costs.RPCIssue)
 		}
 		wg.Wait(p)
-		var next []int
-		for oi, err := range groupErrs {
-			if err == nil {
+		var nextBatch []engine.ReadExt
+		var nextPos []int
+		for _, g := range groups {
+			if g.err == nil {
 				continue
 			}
-			if !errors.Is(err, engine.ErrEngineDown) || attempt >= maxFailover {
-				return nil, fmt.Errorf("daos: fetch: %w", err)
+			if !errors.Is(g.err, engine.ErrEngineDown) || attempt >= maxFailover {
+				return nil, fmt.Errorf("daos: fetch: %w", g.err)
 			}
-			next = append(next, byShard[order[oi]].pos...)
+			nextBatch = append(nextBatch, g.reads...)
+			nextPos = append(nextPos, g.pos...)
 		}
-		if len(next) == 0 {
+		if len(nextPos) == 0 {
 			return out, nil
 		}
-		remaining = next
+		batch, pos = nextBatch, nextPos
 		p.Sleep(failoverBackoff)
 	}
+}
+
+// groupReads buckets reads per shard, groups in order of first appearance;
+// pos holds each read's position in the caller's batch. A group's first
+// read is a capped subslice of reads, so a read is copied only when a
+// second one joins its group.
+func (o *Object) groupReads(reads []engine.ReadExt, pos []int) []fetchGroup {
+	groups := make([]fetchGroup, 0, min(len(reads), o.Layout.NumShards()))
+	for i, rd := range reads {
+		shard := o.shardForDkey(rd.Dkey)
+		gi := 0
+		for gi < len(groups) && groups[gi].shard != shard {
+			gi++
+		}
+		if gi == len(groups) {
+			groups = append(groups, fetchGroup{shard: shard, replicas: o.Layout.Shards[shard],
+				reads: reads[i : i+1 : i+1], pos: pos[i : i+1 : i+1]})
+			continue
+		}
+		groups[gi].reads = append(groups[gi].reads, rd)
+		groups[gi].pos = append(groups[gi].pos, pos[i])
+	}
+	return groups
 }
 
 // ListDkeys enumerates dkeys across all shards, merged and sorted.

@@ -3,6 +3,7 @@ package daos_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -303,16 +304,37 @@ func TestReplicatedReadSurvivesEngineFailure(t *testing.T) {
 
 func TestWriteAfterExclusionRemaps(t *testing.T) {
 	withContainer(t, placement.S1, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
-		arr, err := ct.OpenArray(p, ct.AllocOID(placement.S1))
+		oid := ct.AllocOID(placement.S1)
+		arr, err := ct.OpenArray(p, oid)
 		if err != nil {
 			t.Error(err)
 			return
+		}
+		// A second client's handle on the same object shares the layout.
+		pool2, err := tb.NewClient(tb.ClientNode(1), 2).Connect(p, "p0")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ct2, err := pool2.OpenContainer(p, "c0")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		arr2, err := ct2.OpenArray(p, oid)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if arr2.Obj.Layout != arr.Obj.Layout {
+			t.Error("two clients' handles on one object hold different layouts")
 		}
 		if err := arr.Write(p, 0, []byte("before")); err != nil {
 			t.Error(err)
 			return
 		}
-		target := arr.Obj.Layout.Shards[0][0]
+		old := arr.Obj.Layout
+		target := old.Shards[0][0]
 		engineID := target / tb.Cfg.TargetsPerEngine
 		tb.ExcludeEngine(engineID)
 		// The stale layout is refreshed on the next op; the write lands on a
@@ -325,9 +347,21 @@ func TestWriteAfterExclusionRemaps(t *testing.T) {
 		if newTarget/tb.Cfg.TargetsPerEngine == engineID {
 			t.Error("layout still points at the excluded engine")
 		}
-		got, err := arr.Read(p, 0, 6)
+		want, err := placement.Compute(oid, tb.PoolMap())
+		if err != nil || !reflect.DeepEqual(arr.Obj.Layout, want) {
+			t.Errorf("refreshed layout = %+v, recomputed = %+v, %v", arr.Obj.Layout, want, err)
+		}
+		if old.MapVersion == tb.PoolMap().Version || old.Shards[0][0] != target {
+			t.Error("the refresh changed the shared pre-kill layout instead of replacing it")
+		}
+		// The second handle, opened before the kill, reads through the same
+		// recomputed layout.
+		got, err := arr2.Read(p, 0, 6)
 		if err != nil || string(got) != "after!" {
 			t.Errorf("read after remap = %q, %v", got, err)
+		}
+		if arr2.Obj.Layout != arr.Obj.Layout {
+			t.Error("after the refresh, two clients' handles hold different layouts")
 		}
 	})
 }

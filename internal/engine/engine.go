@@ -21,7 +21,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"daosim/internal/fabric"
@@ -510,9 +509,14 @@ func ChunkDkey(idx int64) []byte {
 }
 
 // DecodeChunkDkey parses a chunk dkey back to its index. It runs for every
-// chunk span, so the canonical form is parsed directly; any other input
-// gets fmt.Sscanf's answer.
+// dkey a client sends, so the canonical form is parsed directly and a dkey
+// without the "chunk." prefix, which fmt.Sscanf would reject at its first
+// literal, is rejected without calling it; any other input gets Sscanf's
+// answer.
 func DecodeChunkDkey(dk []byte) (int64, bool) {
+	if len(dk) < len(chunkPrefix) || string(dk[:len(chunkPrefix)]) != chunkPrefix {
+		return 0, false
+	}
 	if idx, ok := decodeCanonicalChunk(dk); ok {
 		return idx, true
 	}
@@ -523,19 +527,24 @@ func DecodeChunkDkey(dk []byte) (int64, bool) {
 	return idx, true
 }
 
-// decodeCanonicalChunk parses "chunk." followed by exactly 16 lowercase hex
-// digits whose first is 0-7, so the value fits an int64.
+// decodeCanonicalChunk parses a dkey with the "chunk." prefix followed by
+// exactly 16 lowercase hex digits whose first is 0-7, so the value fits an
+// int64.
 func decodeCanonicalChunk(dk []byte) (int64, bool) {
-	if len(dk) != len(chunkPrefix)+chunkDigits || string(dk[:len(chunkPrefix)]) != chunkPrefix || dk[len(chunkPrefix)] > '7' {
+	if len(dk) != len(chunkPrefix)+chunkDigits || dk[len(chunkPrefix)] > '7' {
 		return 0, false
 	}
 	var idx int64
 	for _, c := range dk[len(chunkPrefix):] {
-		d := strings.IndexByte(hexDigits, c)
-		if d < 0 {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		default:
 			return 0, false
 		}
-		idx = idx<<4 | int64(d)
+		idx = idx<<4 | int64(c)
 	}
 	return idx, true
 }

@@ -277,6 +277,21 @@ func FuzzChunkDkeyMatchesFmt(f *testing.F) {
 	})
 }
 
+// TestDecodeNonChunkDkeyAllocFree pins the prefix check: a DFS entry or
+// superblock dkey is rejected without building a string for fmt.Sscanf.
+func TestDecodeNonChunkDkeyAllocFree(t *testing.T) {
+	for _, dk := range [][]byte{[]byte("superblock"), []byte("file.00000001"), []byte("chunk"), nil} {
+		var ok bool
+		if allocs := testing.AllocsPerRun(100, func() { _, ok = DecodeChunkDkey(dk) }); allocs != 0 || ok {
+			t.Errorf("DecodeChunkDkey(%q): ok %v, %v allocs per call; want false, 0", dk, ok, allocs)
+		}
+	}
+	dk := ChunkDkey(1 << 40)
+	if allocs := testing.AllocsPerRun(100, func() { DecodeChunkDkey(dk) }); allocs != 0 {
+		t.Errorf("DecodeChunkDkey(%q): %v allocs per call, want 0", dk, allocs)
+	}
+}
+
 func TestCountersAndStats(t *testing.T) {
 	r := newRig()
 	r.call(t, &UpdateReq{

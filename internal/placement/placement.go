@@ -6,9 +6,10 @@
 // Object classes are the DAOS analogue of Lustre file striping and are the
 // primary variable in the paper's evaluation: S1 keeps an object on one
 // target, S2 shards it over two, SX over every target in the pool. Layout
-// is computed — never stored — from a jump-consistent-hash seeded
-// permutation of the pool map, so every client derives identical layouts
-// and a target failure remaps only the shards that lived on it.
+// is computed from a jump-consistent-hash seeded permutation of the pool
+// map, so every client derives identical layouts and a target failure
+// remaps only the shards that lived on it. A layout is computed once per
+// pool map version and cached on the PoolMap, which every handle shares.
 package placement
 
 import (
@@ -99,10 +100,17 @@ type Target struct {
 	Up     bool
 }
 
-// PoolMap is the versioned target directory every client caches.
+// PoolMap is the versioned target directory every client caches. Targets
+// change state only through SetTargetState and ExcludeEngine, which bump
+// Version: Version is the key of the layout cache, so a target changed any
+// other way would leave layouts placed on its old state.
 type PoolMap struct {
 	Targets []Target
 	Version int
+
+	// layouts holds Layout's results for layoutsVersion.
+	layouts        map[vos.ObjectID]*Layout
+	layoutsVersion int
 }
 
 // NewPoolMap builds a map for engines*targetsPerEngine targets, with
@@ -191,7 +199,8 @@ func splitmix64(x uint64) uint64 {
 var ErrNoTargets = errors.New("placement: no live targets")
 
 // Layout is the computed placement of an object: Shards[i][r] is the target
-// ID of replica r of shard i.
+// ID of replica r of shard i. A Layout is read-only: PoolMap.Layout shares
+// one among every handle on the object at its map version.
 type Layout struct {
 	OID    vos.ObjectID
 	Class  Class
@@ -207,28 +216,57 @@ func (l *Layout) NumShards() int { return len(l.Shards) }
 // Leader returns the primary replica target of shard i.
 func (l *Layout) Leader(i int) int { return l.Shards[i][0] }
 
+// Layout returns oid's layout on the map's current version. It is Compute's
+// result, computed once per version and object and then shared: the cache
+// empties when Version changes, and callers must not modify what it
+// returns. Errors are not cached.
+func (m *PoolMap) Layout(oid vos.ObjectID) (*Layout, error) {
+	if m.layouts == nil {
+		m.layouts = make(map[vos.ObjectID]*Layout)
+	}
+	if m.layoutsVersion != m.Version {
+		clear(m.layouts)
+		m.layoutsVersion = m.Version
+	}
+	if l, ok := m.layouts[oid]; ok {
+		return l, nil
+	}
+	l, err := Compute(oid, m)
+	if err != nil {
+		return nil, err
+	}
+	m.layouts[oid] = l
+	return l, nil
+}
+
 // Compute derives the layout of oid on the pool map. The algorithm builds a
 // deterministic OID-seeded permutation of all targets (Fisher-Yates driven
 // by splitmix64), then walks it selecting live targets: failures shift
 // placement to the next candidate in the permutation, touching only the
-// shards that lost their target.
+// shards that lost their target. It allocates the same few slices whatever
+// the class: the permutation, the used-set and the layout.
 func Compute(oid vos.ObjectID, m *PoolMap) (*Layout, error) {
 	class, err := LookupClass(ClassOf(oid))
 	if err != nil {
 		return nil, err
 	}
-	up := m.UpTargets()
-	if len(up) == 0 {
+	up := 0
+	for _, t := range m.Targets {
+		if t.Up {
+			up++
+		}
+	}
+	if up == 0 {
 		return nil, ErrNoTargets
 	}
 	shards := class.Shards
-	if shards < 0 || shards > len(up) {
-		shards = len(up)
+	if shards < 0 || shards > up {
+		shards = up
 	}
 	need := shards * class.Replicas
-	if need > len(up) {
+	if need > up {
 		return nil, fmt.Errorf("placement: class %s needs %d live targets, pool has %d",
-			class.Name, need, len(up))
+			class.Name, need, up)
 	}
 
 	// OID-seeded permutation over the full (up and down) target list so a
@@ -252,9 +290,13 @@ func Compute(oid vos.ObjectID, m *PoolMap) (*Layout, error) {
 	// home never moves, and a failed home is replaced by the first unused
 	// live fallback candidate, so failures remap only the shards that lost
 	// their target (no cascading).
-	layout := &Layout{OID: oid, Class: class, MapVersion: m.Version}
-	at := func(pos int) int { return perm[(start+pos)%len(perm)] }
-	used := make(map[int]bool, need)
+	at := func(pos int) int {
+		if pos += start; pos >= len(perm) {
+			pos -= len(perm) // start and pos are both below len(perm)
+		}
+		return perm[pos]
+	}
+	used := make([]bool, len(m.Targets))
 	fallback := need // first position after the home region
 	pickFallback := func() (int, error) {
 		for ; fallback < len(perm); fallback++ {
@@ -274,28 +316,40 @@ func Compute(oid vos.ObjectID, m *PoolMap) (*Layout, error) {
 		}
 		return pickFallback()
 	}
-	for s := 0; s < shards; s++ {
-		replicas := make([]int, 0, class.Replicas)
-		engines := make(map[int]bool, class.Replicas)
-		for r := 0; r < class.Replicas; r++ {
-			t, err := pick(s*class.Replicas + r)
+	layout := &Layout{OID: oid, Class: class, Shards: make([][]int, shards), MapVersion: m.Version}
+	flat := make([]int, need)
+	for s := range layout.Shards {
+		lo, hi := s*class.Replicas, (s+1)*class.Replicas
+		replicas := flat[lo:hi:hi]
+		for r := range replicas {
+			t, err := pick(lo + r)
 			if err != nil {
 				return nil, err
 			}
 			// Replicas are fault-domain separated: no two copies of a
 			// shard share an engine. Burn fallback candidates until the
 			// domain differs (home picks stay stable for replica 0).
-			for class.Replicas > 1 && engines[m.Targets[t].Engine] {
+			for m.sharesEngine(replicas[:r], t) {
 				used[t] = false // release; it may serve another shard
 				t, err = pickFallback()
 				if err != nil {
 					return nil, err
 				}
 			}
-			engines[m.Targets[t].Engine] = true
-			replicas = append(replicas, t)
+			replicas[r] = t
 		}
-		layout.Shards = append(layout.Shards, replicas)
+		layout.Shards[s] = replicas
 	}
 	return layout, nil
+}
+
+// sharesEngine reports whether target t lives on the engine of any target
+// in chosen.
+func (m *PoolMap) sharesEngine(chosen []int, t int) bool {
+	for _, c := range chosen {
+		if m.Targets[c].Engine == m.Targets[t].Engine {
+			return true
+		}
+	}
+	return false
 }

@@ -1,6 +1,10 @@
 package placement
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -267,4 +271,195 @@ func TestVersionBumpOnStateChange(t *testing.T) {
 	}
 }
 
-var _ = vos.ObjectID{} // keep the import obvious in examples
+// computeRef is Compute as it stood before it was made to allocate a
+// constant number of times (UpTargets, a map used-set, a map per shard for
+// fault domains). It is the oracle TestComputeMatchesReference holds
+// Compute to.
+func computeRef(oid vos.ObjectID, m *PoolMap) (*Layout, error) {
+	class, err := LookupClass(ClassOf(oid))
+	if err != nil {
+		return nil, err
+	}
+	up := m.UpTargets()
+	if len(up) == 0 {
+		return nil, ErrNoTargets
+	}
+	shards := class.Shards
+	if shards < 0 || shards > len(up) {
+		shards = len(up)
+	}
+	need := shards * class.Replicas
+	if need > len(up) {
+		return nil, fmt.Errorf("placement: class %s needs %d live targets, pool has %d",
+			class.Name, need, len(up))
+	}
+	perm := make([]int, len(m.Targets))
+	for i := range perm {
+		perm[i] = i
+	}
+	seed := splitmix64(oid.Hi ^ splitmix64(oid.Lo))
+	for i := len(perm) - 1; i > 0; i-- {
+		seed = splitmix64(seed)
+		j := int(seed % uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	start := jump(splitmix64(oid.Lo^0xD1B54A32D192ED03), len(perm))
+	layout := &Layout{OID: oid, Class: class, MapVersion: m.Version}
+	at := func(pos int) int { return perm[(start+pos)%len(perm)] }
+	used := make(map[int]bool, need)
+	fallback := need
+	pickFallback := func() (int, error) {
+		for ; fallback < len(perm); fallback++ {
+			t := at(fallback)
+			if m.Targets[t].Up && !used[t] {
+				used[t] = true
+				fallback++
+				return t, nil
+			}
+		}
+		return 0, ErrNoTargets
+	}
+	pick := func(home int) (int, error) {
+		if t := at(home); m.Targets[t].Up && !used[t] {
+			used[t] = true
+			return t, nil
+		}
+		return pickFallback()
+	}
+	for s := 0; s < shards; s++ {
+		replicas := make([]int, 0, class.Replicas)
+		engines := make(map[int]bool, class.Replicas)
+		for r := 0; r < class.Replicas; r++ {
+			t, err := pick(s*class.Replicas + r)
+			if err != nil {
+				return nil, err
+			}
+			for class.Replicas > 1 && engines[m.Targets[t].Engine] {
+				used[t] = false
+				t, err = pickFallback()
+				if err != nil {
+					return nil, err
+				}
+			}
+			engines[m.Targets[t].Engine] = true
+			replicas = append(replicas, t)
+		}
+		layout.Shards = append(layout.Shards, replicas)
+	}
+	return layout, nil
+}
+
+// sameResult reports whether two (layout, error) results agree: equal
+// layouts (OID, class, shards, map version) or equal error text.
+func sameResult(a *Layout, aErr error, b *Layout, bErr error) bool {
+	if aErr != nil || bErr != nil {
+		return aErr != nil && bErr != nil && aErr.Error() == bErr.Error()
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// TestComputeMatchesReference holds Compute and PoolMap.Layout to
+// computeRef over random pool shapes, random down-target sets and every
+// class, errors included.
+func TestComputeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	maps := 3000
+	if testing.Short() {
+		maps = 500
+	}
+	var ok, noTargets, tooNarrow int
+	for i := 0; i < maps; i++ {
+		m := NewPoolMap(1+rng.Intn(16), 1+rng.Intn(8), 1+rng.Intn(2))
+		down := rng.Float64()
+		for id := range m.Targets {
+			if rng.Float64() < down {
+				m.SetTargetState(id, false)
+			}
+		}
+		for _, name := range ClassNames() {
+			c, _ := ClassByName(name)
+			oid := EncodeOID(c.ID, rng.Uint64()>>16, rng.Uint64())
+			want, wantErr := computeRef(oid, m)
+			got, err := Compute(oid, m)
+			if !sameResult(got, err, want, wantErr) {
+				t.Fatalf("map %d (%d targets, version %d) %s: Compute = %v, %v; reference = %v, %v",
+					i, len(m.Targets), m.Version, name, got, err, want, wantErr)
+			}
+			cached, err := m.Layout(oid)
+			if !sameResult(cached, err, want, wantErr) {
+				t.Fatalf("map %d %s: Layout = %v, %v; reference = %v, %v", i, name, cached, err, want, wantErr)
+			}
+			switch {
+			case wantErr == nil:
+				ok++
+			case errors.Is(wantErr, ErrNoTargets):
+				noTargets++
+			default:
+				tooNarrow++
+			}
+		}
+	}
+	t.Logf("%d layouts, %d ErrNoTargets, %d too narrow", ok, noTargets, tooNarrow)
+	if ok == 0 || noTargets == 0 || tooNarrow == 0 {
+		t.Fatal("outcomes not all exercised")
+	}
+}
+
+// TestLayoutCacheFollowsVersion pins the cache to the map version: one
+// shared *Layout per object within a version, and after every state change
+// (exclusions, single targets, restores) what Compute gives on the new map.
+func TestLayoutCacheFollowsVersion(t *testing.T) {
+	m := testMap()
+	oids := []vos.ObjectID{EncodeOID(S1, 0, 1), EncodeOID(S4, 0, 2), EncodeOID(SX, 0, 3), EncodeOID(RP3G1, 0, 4)}
+	check := func(step string) {
+		t.Helper()
+		for _, oid := range oids {
+			got, err := m.Layout(oid)
+			if err != nil {
+				t.Fatalf("%s: Layout(%v): %v", step, oid, err)
+			}
+			if again, _ := m.Layout(oid); again != got {
+				t.Fatalf("%s: Layout(%v) returned two layouts within version %d", step, oid, m.Version)
+			}
+			want, _ := Compute(oid, m)
+			if !reflect.DeepEqual(got, want) || got.MapVersion != m.Version {
+				t.Fatalf("%s: Layout(%v) = %v at version %d, Compute gives %v", step, oid, got, m.Version, want)
+			}
+		}
+	}
+	check("fresh map")
+	before, _ := m.Layout(oids[0])
+	m.ExcludeEngine(0)
+	check("engine 0 excluded")
+	if after, _ := m.Layout(oids[0]); after == before {
+		t.Fatal("a version bump kept the old *Layout")
+	}
+	m.SetTargetState(before.Leader(0), false)
+	check("S1 leader down")
+	m.ExcludeEngine(before.Leader(0) / 8)
+	check("S1 leader's engine excluded")
+	for id := range m.Targets {
+		m.SetTargetState(id, true)
+		check(fmt.Sprintf("target %d restored", id))
+	}
+	if restored, _ := m.Layout(oids[0]); !reflect.DeepEqual(restored.Shards, before.Shards) {
+		t.Fatalf("restored map places S1 on %v, first placed on %v", restored.Shards, before.Shards)
+	}
+}
+
+// TestLayoutAllocations pins the costs the layout cache and Compute were
+// built for: a cache hit allocates nothing, and Compute allocates the same
+// few slices however many shards the class has.
+func TestLayoutAllocations(t *testing.T) {
+	m := testMap()
+	oid := EncodeOID(SX, 0, 7)
+	if _, err := m.Layout(oid); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Layout(oid) }); allocs != 0 {
+		t.Errorf("cache hit: %v allocs per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Compute(oid, m) }); allocs > 5 {
+		t.Errorf("SX Compute on 128 targets: %v allocs per call, want at most 5", allocs)
+	}
+}
