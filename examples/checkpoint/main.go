@@ -105,8 +105,8 @@ func main() {
 			}
 			for s := 0; s < stripes; s++ {
 				off := (int64(s)*int64(ranks) + int64(r.ID())) * sliceBytes
-				got, err := f.ReadAtAll(cp, off, sliceBytes)
-				if err != nil {
+				got := make([]byte, sliceBytes)
+				if err := f.ReadAtAllInto(cp, off, sliceBytes, got); err != nil {
 					log.Fatal(err)
 				}
 				if !bytes.Equal(got, state(r.ID(), s)) {
@@ -121,10 +121,9 @@ func main() {
 			ranks, stripes, sliceKiB)
 		fmt.Printf("  checkpoint (collective write): %10v  (%6.2f GiB/s)\n", writeSpan, total/writeSpan.Seconds()/(1<<30))
 		fmt.Printf("  restart    (collective read):  %10v  (%6.2f GiB/s)\n", readSpan, total/readSpan.Seconds()/(1<<30))
-		if mismatches == 0 {
-			fmt.Println("  state verified: every byte restored correctly")
-		} else {
-			fmt.Printf("  VERIFICATION FAILED: %d slices corrupt\n", mismatches)
+		if mismatches != 0 {
+			log.Fatalf("VERIFICATION FAILED: %d slices corrupt", mismatches)
 		}
+		fmt.Println("  state verified: every byte restored correctly")
 	})
 }

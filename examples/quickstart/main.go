@@ -60,8 +60,8 @@ func main() {
 		if err := arr.Write(p, 0, payload); err != nil {
 			log.Fatal(err)
 		}
-		back, err := arr.Read(p, 0, int64(len(payload)))
-		if err != nil || !bytes.Equal(back, payload) {
+		back := make([]byte, len(payload))
+		if err := arr.ReadAtInto(p, 0, int64(len(back)), 0, back); err != nil || !bytes.Equal(back, payload) {
 			log.Fatal("array round trip failed")
 		}
 		fmt.Printf("array 8 MiB w+r      took %8v\n", p.Now()-t0)
@@ -92,8 +92,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		got, err := fd.Pread(p, 0, int64(len(payload)))
-		if err != nil || !bytes.Equal(got, payload) {
+		got := make([]byte, len(payload))
+		if err := fd.PreadInto(p, 0, int64(len(got)), got); err != nil || !bytes.Equal(got, payload) {
 			log.Fatal("dfuse read mismatch")
 		}
 		fd.Close(p)

@@ -101,9 +101,7 @@ func (a *Array) ReadAtInto(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst
 			Offset: inOff,
 			Length: int(l),
 		}
-		if dst == nil {
-			rd.Discard = true
-		} else {
+		if dst != nil {
 			rd.Dst = dst[done : done+l]
 		}
 		reads = append(reads, rd)
@@ -115,32 +113,13 @@ func (a *Array) ReadAtInto(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst
 	}
 	// A nil entry is a chunk absent on its shard (never written): its span
 	// is a hole, and holes read as zeros even into reused buffers. A
-	// discarded read has no Dst to clear.
+	// length-only read has no Dst to clear.
 	for i, rd := range reads {
 		if data[i] == nil {
 			clear(rd.Dst)
 		}
 	}
 	return nil
-}
-
-// Read fetches n bytes at the byte offset as visible at epoch (0 = latest).
-// Holes read as zeros: a read entirely inside an unwritten region returns a
-// zeroed buffer, exactly like a partially covered one.
-func (a *Array) ReadAt(p *sim.Proc, off int64, n int64, epoch vos.Epoch) ([]byte, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	buf := make([]byte, n)
-	if err := a.ReadAtInto(p, off, n, epoch, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// Read fetches the latest data at the byte offset.
-func (a *Array) Read(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return a.ReadAt(p, off, n, 0)
 }
 
 // Size returns the array's end-of-file: the max high-water mark across

@@ -379,11 +379,14 @@ type fetchGroup struct {
 }
 
 // Fetch reads a batch of extents at the given epoch (0 = latest), returning
-// data parallel to reads. Failed targets fall back to the next replica
-// within the RPC, and shards whose every replica is down fail over: the
-// layout is recomputed against the current pool map and only the failed
-// reads are reissued. Extents whose data was lost with a killed engine
-// read as holes (nil) from the fallback target, like any unwritten region.
+// data parallel to reads: a single value's bytes, or an array read's Dst,
+// which the engine filled in place (nil for a length-only read with a nil
+// Dst). An absent value or extent returns nil. Failed targets fall back to
+// the next replica within the RPC, and shards whose every replica is down
+// fail over: the layout is recomputed against the current pool map and
+// only the failed reads are reissued. Extents whose data was lost with a
+// killed engine read as absent (nil) from the fallback target, like any
+// unwritten region.
 func (o *Object) Fetch(p *sim.Proc, reads []engine.ReadExt, epoch vos.Epoch) ([][]byte, error) {
 	c := o.cont.Pool.client
 	out := make([][]byte, len(reads))

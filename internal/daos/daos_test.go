@@ -127,8 +127,8 @@ func testArrayIO(t *testing.T, class placement.ClassID) {
 			t.Error(err)
 			return
 		}
-		got, err := arr.Read(p, 0, size)
-		if err != nil {
+		got := make([]byte, size)
+		if err := arr.ReadAtInto(p, 0, size, 0, got); err != nil {
 			t.Error(err)
 			return
 		}
@@ -136,8 +136,8 @@ func testArrayIO(t *testing.T, class placement.ClassID) {
 			t.Errorf("class %v: read-back mismatch", class)
 		}
 		// Unaligned read across a chunk boundary.
-		got, err = arr.Read(p, (1<<20)-100, 200)
-		if err != nil || !bytes.Equal(got, data[(1<<20)-100:(1<<20)+100]) {
+		got = make([]byte, 200)
+		if err := arr.ReadAtInto(p, (1<<20)-100, 200, 0, got); err != nil || !bytes.Equal(got, data[(1<<20)-100:(1<<20)+100]) {
 			t.Errorf("class %v: unaligned read mismatch (%v)", class, err)
 		}
 		size2, err := arr.Size(p)
@@ -155,8 +155,8 @@ func TestArrayHolesReadZero(t *testing.T) {
 	withContainer(t, placement.S2, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
 		arr, _ := ct.OpenArray(p, ct.AllocOID(placement.S2))
 		arr.Write(p, 3<<20, []byte("end"))
-		got, err := arr.Read(p, 0, 10)
-		if err != nil {
+		got := make([]byte, 10)
+		if err := arr.ReadAtInto(p, 0, 10, 0, got); err != nil {
 			t.Error(err)
 			return
 		}
@@ -173,9 +173,9 @@ func TestArrayHolesReadZero(t *testing.T) {
 // TestArrayReadHoleShapes pins the hole contract across every read shape:
 // whatever mix of written spans and holes the window covers — including a
 // window entirely inside one unwritten chunk, the case the old single-span
-// fast path handled asymmetrically — ReadAt returns exactly the written
-// bytes with zeros elsewhere, and ReadAtInto scrubs a dirty reused buffer
-// to the same contents.
+// fast path handled asymmetrically — ReadAtInto fills a fresh buffer with
+// exactly the written bytes and zeros elsewhere, and scrubs a dirty reused
+// buffer to the same contents.
 func TestArrayReadHoleShapes(t *testing.T) {
 	const chunk = 1 << 20 // cluster.Small container chunk size
 	cases := []struct {
@@ -219,13 +219,13 @@ func TestArrayReadHoleShapes(t *testing.T) {
 					t.Errorf("%s: case expects data at +%d but that is a hole", tc.name, rel)
 				}
 			}
-			got, err := arr.ReadAt(p, tc.off, tc.n, 0)
-			if err != nil {
-				t.Errorf("%s: ReadAt: %v", tc.name, err)
+			got := make([]byte, tc.n)
+			if err := arr.ReadAtInto(p, tc.off, tc.n, 0, got); err != nil {
+				t.Errorf("%s: ReadAtInto: %v", tc.name, err)
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s: ReadAt mismatch", tc.name)
+				t.Errorf("%s: ReadAtInto mismatch", tc.name)
 			}
 			dirty := bytes.Repeat([]byte{0xee}, int(tc.n))
 			if err := arr.ReadAtInto(p, tc.off, tc.n, 0, dirty); err != nil {
@@ -248,8 +248,8 @@ func TestArrayOverwrite(t *testing.T) {
 		arr, _ := ct.OpenArray(p, ct.AllocOID(placement.S2))
 		arr.Write(p, 0, bytes.Repeat([]byte{1}, 2<<20))
 		arr.Write(p, 1<<19, bytes.Repeat([]byte{2}, 1<<20)) // straddles chunks
-		got, err := arr.Read(p, 0, 2<<20)
-		if err != nil {
+		got := make([]byte, 2<<20)
+		if err := arr.ReadAtInto(p, 0, 2<<20, 0, got); err != nil {
 			t.Error(err)
 			return
 		}
@@ -356,8 +356,8 @@ func TestWriteAfterExclusionRemaps(t *testing.T) {
 		}
 		// The second handle, opened before the kill, reads through the same
 		// recomputed layout.
-		got, err := arr2.Read(p, 0, 6)
-		if err != nil || string(got) != "after!" {
+		got := make([]byte, 6)
+		if err := arr2.ReadAtInto(p, 0, 6, 0, got); err != nil || string(got) != "after!" {
 			t.Errorf("read after remap = %q, %v", got, err)
 		}
 		if arr2.Obj.Layout != arr.Obj.Layout {

@@ -424,11 +424,6 @@ func (f *File) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	return f.arr.WriteAtFrom(p, off, n, src)
 }
 
-// ReadAt fetches n bytes at the byte offset; holes read as zeros.
-func (f *File) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return f.arr.Read(p, off, n)
-}
-
 // ReadAtInto fetches n bytes at the byte offset into dst (len(dst) == n;
 // every byte is written, holes as zeros). A nil dst simulates the read with
 // identical timing without materializing data.

@@ -84,8 +84,8 @@ func TestFileWriteRead(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := f.ReadAt(p, 0, int64(len(payload)))
-		if err != nil || !bytes.Equal(got, payload) {
+		got := make([]byte, len(payload))
+		if err := f.ReadAtInto(p, 0, int64(len(got)), got); err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("read-back mismatch (err=%v)", err)
 		}
 		size, err := f.Size(p)
@@ -112,7 +112,8 @@ func TestNestedDirectories(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		data, _ := got.ReadAt(p, 0, 4)
+		data := make([]byte, 4)
+		got.ReadAtInto(p, 0, 4, data)
 		if string(data) != "deep" {
 			t.Errorf("data = %q", data)
 		}
@@ -218,8 +219,8 @@ func TestSparseFile(t *testing.T) {
 		if size != 10<<20+4 {
 			t.Errorf("size = %d", size)
 		}
-		head, err := f.ReadAt(p, 0, 16)
-		if err != nil || !bytes.Equal(head, make([]byte, 16)) {
+		head := make([]byte, 16)
+		if err := f.ReadAtInto(p, 0, 16, head); err != nil || !bytes.Equal(head, make([]byte, 16)) {
 			t.Errorf("hole = %v, %v", head, err)
 		}
 	})
@@ -256,10 +257,11 @@ func TestLengthOnlyWriteFailsContentRead(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if got, err := f.ReadAt(p, 0, 1<<20); err != nil || !bytes.Equal(got, data) {
+		got := make([]byte, 1<<20)
+		if err := f.ReadAtInto(p, 0, 1<<20, got); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("overwritten chunk read back wrong (%v)", err)
 		}
-		if _, err := f.ReadAt(p, 1<<20-1, 2); !errors.Is(err, vos.ErrNoContent) {
+		if err := f.ReadAtInto(p, 1<<20-1, 2, make([]byte, 2)); !errors.Is(err, vos.ErrNoContent) {
 			t.Errorf("read across the length-only chunk err = %v, want vos.ErrNoContent", err)
 		}
 	})

@@ -196,22 +196,13 @@ func (fd *File) PwriteFrom(p *sim.Proc, off int64, n int64, src []byte) (int, er
 	return int(pos), nil
 }
 
-// Pread reads n bytes at the offset, split into FUSE-sized requests kept in
-// flight concurrently, mirroring Pwrite.
-func (fd *File) Pread(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	out := make([]byte, n)
-	if err := fd.PreadInto(p, off, n, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // PreadInto reads n bytes at the offset into dst (len(dst) == n; every byte
-// is written, holes as zeros), with the same FUSE request splitting as
-// Pread: each segment lands in its disjoint sub-slice of dst directly. The
-// bounce-buffer charge is unchanged — the kernel crossing still moves the
-// bytes, the simulation just doesn't copy them again. A nil dst simulates
-// the read with identical timing without materializing data.
+// is written, holes as zeros), split into FUSE-sized requests kept in
+// flight concurrently, mirroring PwriteFrom: each segment lands in its
+// disjoint sub-slice of dst directly. The bounce-buffer charge is
+// unchanged — the kernel crossing still moves the bytes, the simulation
+// just doesn't copy them again. A nil dst simulates the read with
+// identical timing without materializing data.
 func (fd *File) PreadInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	m := fd.mount
 	var segErr error

@@ -52,8 +52,8 @@ func TestPosixRoundTrip(t *testing.T) {
 			t.Errorf("pwrite = %d, %v", n, err)
 			return
 		}
-		got, err := fd.Pread(p, 0, int64(len(payload)))
-		if err != nil || !bytes.Equal(got, payload) {
+		got := make([]byte, len(payload))
+		if err := fd.PreadInto(p, 0, int64(len(got)), got); err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("pread mismatch (err=%v)", err)
 		}
 		if err := fd.Fsync(p); err != nil {

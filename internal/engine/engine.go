@@ -193,24 +193,24 @@ func (w *WriteExt) length() int64 {
 
 // ReadExt is one extent (or single value) in a fetch RPC.
 //
-// Dst and Discard select the zero-copy read modes for array extents (the
-// engine handler runs in the calling process, so a destination span is
-// addressable directly — the simulation analogue of an RDMA bulk landing in
-// a registered client buffer). With Dst set, the engine fills it in place
-// and the response aliases it; with Discard set, the engine performs the
-// identical visibility walk and charges identical time but moves no bytes
-// (reads whose content nobody observes). Neither field contributes to the
-// request's wire size: both describe where data lands, not what is sent.
+// An array read lands in Dst (the engine handler runs in the calling
+// process, so a destination span is addressable directly — the simulation
+// analogue of an RDMA bulk landing in a registered client buffer): the
+// engine fills it in place and the response aliases it. A nil Dst performs
+// the identical visibility walk and charges identical time but moves no
+// bytes (reads whose content nobody observes). Dst does not contribute to
+// the request's wire size: it describes where data lands, not what is sent.
 type ReadExt struct {
 	Dkey, Akey []byte
 	Offset     int64
 	Length     int
 	Single     bool
 	// Dst, when non-nil, receives the extent's bytes (len(Dst) must equal
-	// Length). Array reads only.
+	// Length); nil reads length-only. Array reads only.
 	Dst []byte
-	// Discard simulates the read without materializing data. Array reads
-	// only; mutually exclusive with Dst.
+	// Discard is ignored.
+	//
+	// Deprecated: a nil Dst already reads without materializing data.
 	Discard bool
 }
 
@@ -238,8 +238,9 @@ type FetchReq struct {
 	Epoch vos.Epoch
 }
 
-// FetchResp carries fetched data, parallel to FetchReq.Reads. A nil entry
-// reports a missing single value.
+// FetchResp carries fetched data, parallel to FetchReq.Reads: a single
+// value's bytes or an array read's Dst. A nil entry reports a missing value
+// or extent, or a present extent read with a nil Dst.
 type FetchResp struct {
 	Data [][]byte
 }
@@ -373,11 +374,12 @@ func (e *Engine) handleFetch(p *sim.Proc, r *FetchReq) fabric.Response {
 		epoch = vos.EpochMax
 	}
 	// Timing and wire accounting depend only on each read's length and
-	// whether its akey is present — never on materialized buffers — so the
-	// zero-copy (Dst) and no-materialize (Discard) modes charge exactly what
-	// the allocating path charges: a present array read contributes Length
-	// to device bytes and response size whether its bytes land in a fresh
-	// buffer, the caller's span, or nowhere.
+	// whether its akey is present — never on materialized buffers — so a
+	// read with a nil Dst charges exactly what one with a Dst charges: a
+	// present array read contributes Length to device bytes and response
+	// size whether its bytes land in the caller's span or nowhere. A
+	// present extent answers with its Dst (nil when it had none), an absent
+	// one with nil.
 	resp := &FetchResp{Data: make([][]byte, len(r.Reads))}
 	var bytes int64
 	size := int64(64)
@@ -397,29 +399,13 @@ func (e *Engine) handleFetch(p *sim.Proc, r *FetchReq) fabric.Response {
 			size += int64(len(v))
 			continue
 		}
-		var err error
-		switch {
-		case rd.Discard:
-			err = cont.FetchArrayInto(r.OID, rd.Dkey, rd.Akey, epoch, rd.Offset, rd.Length, nil)
-		case rd.Dst != nil:
-			err = cont.FetchArrayInto(r.OID, rd.Dkey, rd.Akey, epoch, rd.Offset, rd.Length, rd.Dst)
-			if err == nil {
-				resp.Data[i] = rd.Dst
-			}
-		default:
-			var v []byte
-			v, err = cont.FetchArray(r.OID, rd.Dkey, rd.Akey, epoch, rd.Offset, rd.Length)
-			if err == nil {
-				resp.Data[i] = v
-			}
-		}
-		if err != nil {
+		if err := cont.FetchArrayInto(r.OID, rd.Dkey, rd.Akey, epoch, rd.Offset, rd.Length, rd.Dst); err != nil {
 			if errors.Is(err, vos.ErrNotFound) {
-				resp.Data[i] = nil
 				continue
 			}
 			return fabric.Response{Err: err, Size: 64}
 		}
+		resp.Data[i] = rd.Dst
 		bytes += int64(rd.Length)
 		size += int64(rd.Length)
 	}

@@ -65,16 +65,65 @@ func TestUpdateFetchRoundTrip(t *testing.T) {
 	if !resp.Body.(*UpdateResp).FirstTouch {
 		t.Fatal("first write did not report first touch")
 	}
+	got := make([]byte, 4096)
 	resp = r.call(t, &FetchReq{
 		Cont: "c0", OID: rigOID, Target: 3,
-		Reads: []ReadExt{{Dkey: ChunkDkey(0), Akey: []byte("data"), Offset: 0, Length: 4096}},
+		Reads: []ReadExt{{Dkey: ChunkDkey(0), Akey: []byte("data"), Offset: 0, Length: 4096, Dst: got}},
 	})
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
-	got := resp.Body.(*FetchResp).Data[0]
 	if !bytes.Equal(got, data) {
 		t.Fatal("fetched data mismatch")
+	}
+	if d := resp.Body.(*FetchResp).Data[0]; len(d) != len(got) || &d[0] != &got[0] {
+		t.Fatal("response does not alias the destination")
+	}
+}
+
+// TestNilDstFetchChargesLikeDst pins the length-only array read: with a nil
+// Dst the engine charges the virtual time, response size and client bytes
+// of a read into a buffer, and answers a present extent with nil. It never
+// asks for content, so it succeeds over an extent written length-only.
+func TestNilDstFetchChargesLikeDst(t *testing.T) {
+	fetch := func(content bool, dst []byte) (fabric.Response, time.Duration, int64) {
+		r := newRig()
+		w := WriteExt{Dkey: ChunkDkey(0), Akey: []byte("data"), Len: 8192}
+		if content {
+			w.Data = bytes.Repeat([]byte("d"), 8192)
+		}
+		if resp := r.call(t, &UpdateReq{Cont: "c0", OID: rigOID, Target: 3, Writes: []WriteExt{w}}); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		start, before := r.sim.Now(), r.eng.ClientBytes()
+		resp := r.call(t, &FetchReq{
+			Cont: "c0", OID: rigOID, Target: 3,
+			Reads: []ReadExt{
+				{Dkey: ChunkDkey(0), Akey: []byte("data"), Offset: 1024, Length: 4096, Dst: dst},
+				{Dkey: ChunkDkey(1), Akey: []byte("data"), Length: 4096}, // absent
+			},
+		})
+		return resp, r.sim.Now() - start, r.eng.ClientBytes() - before
+	}
+	buffered, bufTime, bufBytes := fetch(true, make([]byte, 4096))
+	if buffered.Err != nil {
+		t.Fatal(buffered.Err)
+	}
+	for _, content := range []bool{true, false} {
+		resp, took, moved := fetch(content, nil)
+		if resp.Err != nil {
+			t.Fatalf("content=%v: nil-Dst read: %v", content, resp.Err)
+		}
+		if took != bufTime || resp.Size != buffered.Size || moved != bufBytes {
+			t.Errorf("content=%v: nil Dst took %v, size %d, moved %d; with Dst %v, %d, %d",
+				content, took, resp.Size, moved, bufTime, buffered.Size, bufBytes)
+		}
+		if data := resp.Body.(*FetchResp).Data; data[0] != nil || data[1] != nil {
+			t.Errorf("content=%v: nil-Dst read answered %v", content, data)
+		}
+	}
+	if resp, _, _ := fetch(false, make([]byte, 4096)); !errors.Is(resp.Err, vos.ErrNoContent) {
+		t.Errorf("read of a length-only extent into a buffer: err = %v, want vos.ErrNoContent", resp.Err)
 	}
 }
 

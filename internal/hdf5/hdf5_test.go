@@ -78,8 +78,8 @@ func TestContiguousRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := ds.Read(p, 0, 4<<20)
-		if err != nil || !bytes.Equal(got, data) {
+		got := make([]byte, 4<<20)
+		if err := ds.ReadInto(p, 0, 4<<20, got); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("round trip mismatch (%v)", err)
 		}
 		if err := f.Close(p); err != nil {
@@ -113,55 +113,15 @@ func TestReopenReadsBack(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := rd.Read(p, 0, 1<<20)
-		if err != nil || !bytes.Equal(got, data) {
+		got := make([]byte, 1<<20)
+		if err := rd.ReadInto(p, 0, 1<<20, got); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("reopened read mismatch (%v)", err)
 		}
 		rd2, _ := g.OpenDataset(p, "d2")
-		got, _ = rd2.Read(p, 0, 4096)
+		got = make([]byte, 4096)
+		rd2.ReadInto(p, 0, 4096, got)
 		if !bytes.Equal(got, fill(4096, 42)) {
 			t.Error("second dataset mismatch")
-		}
-	})
-}
-
-func TestChunkedRoundTripAndReopen(t *testing.T) {
-	withVFD(t, func(p *sim.Proc, newVFD func(*sim.Proc, string, bool) hdf5.VFD) {
-		f, _ := hdf5.Create(p, newVFD(p, "/chunked.h5", true), hdf5.DefaultCosts())
-		ds, err := f.CreateDataset(p, "grid", 8<<20, 256<<10)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// Write a sparse pattern: chunks 0, 3, and a straddle of 30/31.
-		a, b, c := fill(256<<10, 1), fill(256<<10, 2), fill(512<<10, 3)
-		ds.Write(p, 0, a)
-		ds.Write(p, 3*(256<<10), b)
-		ds.Write(p, 8<<20-(512<<10), c)
-		f.Close(p)
-
-		g, err := hdf5.Open(p, newVFD(p, "/chunked.h5", false), hdf5.DefaultCosts())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		rd, _ := g.OpenDataset(p, "grid")
-		got, err := rd.Read(p, 0, 256<<10)
-		if err != nil || !bytes.Equal(got, a) {
-			t.Errorf("chunk 0 mismatch (%v)", err)
-		}
-		got, _ = rd.Read(p, 3*(256<<10), 256<<10)
-		if !bytes.Equal(got, b) {
-			t.Error("chunk 3 mismatch")
-		}
-		got, _ = rd.Read(p, 8<<20-(512<<10), 512<<10)
-		if !bytes.Equal(got, c) {
-			t.Error("tail straddle mismatch")
-		}
-		// Unwritten chunk reads as zeros.
-		got, _ = rd.Read(p, 256<<10, 256<<10)
-		if !bytes.Equal(got, make([]byte, 256<<10)) {
-			t.Error("hole not zero")
 		}
 	})
 }
@@ -190,6 +150,14 @@ func TestErrors(t *testing.T) {
 		if _, err := f.CreateDataset(p, "d", 1024, 0); !errors.Is(err, hdf5.ErrDatasetExists) {
 			t.Errorf("dup err = %v", err)
 		}
+		// Only the contiguous layout exists: a chunk size is refused, and
+		// the refused dataset is not created.
+		if _, err := f.CreateDataset(p, "chunked", 1<<20, 256<<10); err == nil {
+			t.Error("chunked dataset accepted")
+		}
+		if _, err := f.OpenDataset(p, "chunked"); !errors.Is(err, hdf5.ErrDatasetMissing) {
+			t.Errorf("refused chunked dataset exists: err = %v", err)
+		}
 		if _, err := f.OpenDataset(p, "missing"); !errors.Is(err, hdf5.ErrDatasetMissing) {
 			t.Errorf("missing err = %v", err)
 		}
@@ -197,7 +165,7 @@ func TestErrors(t *testing.T) {
 		if err := ds.Write(p, 1000, make([]byte, 100)); !errors.Is(err, hdf5.ErrOutOfBounds) {
 			t.Errorf("oob err = %v", err)
 		}
-		if _, err := ds.Read(p, 0, 2048); !errors.Is(err, hdf5.ErrOutOfBounds) {
+		if err := ds.ReadInto(p, 0, 2048, make([]byte, 2048)); !errors.Is(err, hdf5.ErrOutOfBounds) {
 			t.Errorf("oob read err = %v", err)
 		}
 	})
@@ -227,8 +195,8 @@ func TestParallelSlabLayout(t *testing.T) {
 		g, _ := hdf5.Open(p, newVFD(p, "/shared.h5", false), hdf5.DefaultCosts())
 		rd, _ := g.OpenDataset(p, "data")
 		for r := 0; r < ranks; r++ {
-			got, err := rd.Read(p, int64(r)*slab, slab)
-			if err != nil || !bytes.Equal(got, fill(slab, byte(r))) {
+			got := make([]byte, slab)
+			if err := rd.ReadInto(p, int64(r)*slab, slab, got); err != nil || !bytes.Equal(got, fill(slab, byte(r))) {
 				t.Errorf("slab %d mismatch (%v)", r, err)
 			}
 		}

@@ -54,8 +54,8 @@ func TestCrossInterfaceVisibility(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got, err := fd.Pread(p, 0, int64(len(payload)))
-		if err != nil || !bytes.Equal(got, payload) {
+		got := make([]byte, len(payload))
+		if err := fd.PreadInto(p, 0, int64(len(got)), got); err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("dfuse view mismatch (%v)", err)
 		}
 
@@ -67,8 +67,8 @@ func TestCrossInterfaceVisibility(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := mf.ReadAt(cp, 0, int64(len(payload)))
-			if err != nil || !bytes.Equal(got, payload) {
+			got := make([]byte, len(payload))
+			if err := mf.ReadAtInto(cp, 0, int64(len(got)), got); err != nil || !bytes.Equal(got, payload) {
 				t.Errorf("mpiio view mismatch (%v)", err)
 			}
 		})
@@ -124,8 +124,8 @@ func TestHDF5OverEveryTransport(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := ds2.Read(cp, 0, int64(len(payload)))
-			if err != nil || !bytes.Equal(got, payload) {
+			got := make([]byte, len(payload))
+			if err := ds2.ReadInto(cp, 0, int64(len(got)), got); err != nil || !bytes.Equal(got, payload) {
 				t.Errorf("hdf5-over-mpiio mismatch (%v)", err)
 			}
 		})

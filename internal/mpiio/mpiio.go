@@ -20,13 +20,11 @@ import (
 
 // Driver is the ADIO device abstraction (one open handle per rank).
 // WriteAtFrom writes n bytes from src (len(src) == n), or — with a nil src
-// — writes length-only with identical timing. ReadAtInto is the zero-copy
-// variant of ReadAt: it fills dst (len(dst) == n) in place, or — with a nil
-// dst — simulates the read with identical timing while materializing
-// nothing.
+// — writes length-only with identical timing. ReadAtInto fills dst
+// (len(dst) == n) in place, or — with a nil dst — simulates the read with
+// identical timing while materializing nothing.
 type Driver interface {
 	WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error
-	ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error)
 	ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
 	Sync(p *sim.Proc) error
 	Close(p *sim.Proc) error
@@ -37,9 +35,6 @@ type dfsDriver struct{ f *dfs.File }
 
 func (d *dfsDriver) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	return d.f.WriteAtFrom(p, off, n, src)
-}
-func (d *dfsDriver) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return d.f.ReadAt(p, off, n)
 }
 func (d *dfsDriver) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return d.f.ReadAtInto(p, off, n, dst)
@@ -53,9 +48,6 @@ type posixDriver struct{ fd *dfuse.File }
 func (d *posixDriver) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	_, err := d.fd.PwriteFrom(p, off, n, src)
 	return err
-}
-func (d *posixDriver) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return d.fd.Pread(p, off, n)
 }
 func (d *posixDriver) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return d.fd.PreadInto(p, off, n, dst)
@@ -163,11 +155,6 @@ func (f *File) WriteAt(p *sim.Proc, off int64, data []byte) error {
 // timing.
 func (f *File) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	return f.drv.WriteAtFrom(p, off, n, src)
-}
-
-// ReadAt performs an independent read at the byte offset.
-func (f *File) ReadAt(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	return f.drv.ReadAt(p, off, n)
 }
 
 // ReadAtInto performs an independent read at the byte offset into
@@ -334,21 +321,9 @@ func (f *File) writeCoalesced(p *sim.Proc, pieces []*piece) error {
 	return nil
 }
 
-// ReadAtAll performs a two-phase collective read: aggregators read their
-// file domains and ship each rank its pieces.
-func (f *File) ReadAtAll(p *sim.Proc, off int64, n int64) ([]byte, error) {
-	out := make([]byte, n)
-	if err := f.ReadAtAllInto(p, off, n, out); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// ReadAtAllInto is the collective read landing each rank's pieces directly
-// in dst (len(dst) == n; the answered pieces cover every byte). A rank
+// ReadAtAllInto performs a two-phase collective read: aggregators read
+// their file domains and ship each rank its pieces, which land directly in
+// dst (len(dst) == n; the answered pieces cover every byte). A rank
 // passing a nil dst sends discard-tagged requests: exchanges keep their
 // sizes (the shuffle still ships the bytes in simulated time) and an
 // aggregator whose incoming requests are all discards skips materializing

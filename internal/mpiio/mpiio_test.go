@@ -103,8 +103,8 @@ func TestIndependentSharedFileDFS(t *testing.T) {
 			r.Barrier(cp)
 			// Read the neighbour's block (defeats any locality).
 			peer := (r.ID() + 1) % ranks
-			got, err := f.ReadAt(cp, int64(peer)*blk, blk)
-			if err != nil || !bytes.Equal(got, pattern(peer, blk)) {
+			got := make([]byte, blk)
+			if err := f.ReadAtInto(cp, int64(peer)*blk, blk, got); err != nil || !bytes.Equal(got, pattern(peer, blk)) {
 				t.Errorf("rank %d: neighbour read mismatch (%v)", r.ID(), err)
 			}
 			f.Close(cp)
@@ -128,8 +128,8 @@ func TestIndependentSharedFilePOSIX(t *testing.T) {
 			}
 			r.Barrier(cp)
 			peer := (r.ID() + 3) % ranks
-			got, err := f.ReadAt(cp, int64(peer)*blk, blk)
-			if err != nil || !bytes.Equal(got, pattern(peer, blk)) {
+			got := make([]byte, blk)
+			if err := f.ReadAtInto(cp, int64(peer)*blk, blk, got); err != nil || !bytes.Equal(got, pattern(peer, blk)) {
 				t.Errorf("rank %d: read mismatch (%v)", r.ID(), err)
 			}
 			f.Close(cp)
@@ -151,13 +151,14 @@ func TestCollectiveWriteReadRoundTrip(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := f.ReadAtAll(cp, off, blk)
+			got := make([]byte, blk)
+			err = f.ReadAtAllInto(cp, off, blk, got)
 			if err != nil || !bytes.Equal(got, pattern(r.ID(), blk)) {
 				t.Errorf("rank %d: collective round trip mismatch (%v)", r.ID(), err)
 			}
 			// Cross-check: collective read of the neighbour's block.
 			peer := (r.ID() + 1) % ranks
-			got, err = f.ReadAtAll(cp, int64(peer)*blk, blk)
+			err = f.ReadAtAllInto(cp, int64(peer)*blk, blk, got)
 			if err != nil || !bytes.Equal(got, pattern(peer, blk)) {
 				t.Errorf("rank %d: collective neighbour read mismatch (%v)", r.ID(), err)
 			}
@@ -168,7 +169,8 @@ func TestCollectiveWriteReadRoundTrip(t *testing.T) {
 			if peer > r.ID() {
 				want = append(pattern(r.ID(), blk), pattern(peer, blk)...)
 			}
-			got, err = f.ReadAtAll(cp, off, 2*blk)
+			got = make([]byte, 2*blk)
+			err = f.ReadAtAllInto(cp, off, 2*blk, got)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Errorf("rank %d: collective two-block read mismatch (%v)", r.ID(), err)
 			}
@@ -203,8 +205,8 @@ func TestCollectiveInterleavedPattern(t *testing.T) {
 			for c := 0; c < cellsPerRank; c++ {
 				for owner := 0; owner < ranks; owner++ {
 					off := int64(c*ranks+owner) * cell
-					got, err := f.ReadAt(cp, off, cell)
-					if err != nil || !bytes.Equal(got, pattern(owner+c*100, cell)) {
+					got := make([]byte, cell)
+					if err := f.ReadAtInto(cp, off, cell, got); err != nil || !bytes.Equal(got, pattern(owner+c*100, cell)) {
 						t.Errorf("cell (%d,%d) mismatch (%v)", c, owner, err)
 						return
 					}
@@ -232,8 +234,8 @@ func TestCollectiveZeroLengthParticipant(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := f.ReadAtAll(cp, 0, 8192)
-			if err != nil || !bytes.Equal(got, pattern(0, 8192)) {
+			got := make([]byte, 8192)
+			if err := f.ReadAtAllInto(cp, 0, 8192, got); err != nil || !bytes.Equal(got, pattern(0, 8192)) {
 				t.Errorf("rank %d read mismatch (%v)", r.ID(), err)
 			}
 		})

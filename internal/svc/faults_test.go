@@ -109,9 +109,12 @@ func TestScheduledFaultFailoverScenario(t *testing.T) {
 		}
 		seen[name] = true
 	}
-	// And the attribute written before the fault survived it.
-	if res, err := h.exec(t, Command{Op: OpGetAttr, Pool: "tank", Key: "owner"}); err != nil || res.Value != "epcc" {
-		t.Fatalf("owner attr after recovery = %q, %v", res.Value, err)
+	// And the attribute written before the fault survived it, on every
+	// replica, the restarted one included.
+	for i := range h.svc.replicas {
+		if p := h.state(i).Pools["tank"]; p == nil || p.Attrs["owner"] != "epcc" {
+			t.Fatalf("replica %d: pool after recovery = %+v, want owner=epcc", i, p)
+		}
 	}
 }
 

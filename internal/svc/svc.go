@@ -27,17 +27,15 @@ type Op string
 
 // Pool service operations.
 const (
-	OpCreatePool  Op = "create-pool"
-	OpDestroyPool Op = "destroy-pool"
-	OpCreateCont  Op = "create-cont"
-	OpDestroyCont Op = "destroy-cont"
-	OpSetAttr     Op = "set-attr"
-	OpGetAttr     Op = "get-attr"
-	OpListConts   Op = "list-conts"
-	OpQueryPool   Op = "query-pool"
+	OpCreatePool Op = "create-pool"
+	OpCreateCont Op = "create-cont"
+	OpSetAttr    Op = "set-attr"
+	OpListConts  Op = "list-conts"
+	OpQueryPool  Op = "query-pool"
 )
 
-// Command is one pool service request.
+// Command is one pool service request. Its gob encoding is what a client
+// sends, so its size is charged on the wire.
 type Command struct {
 	Op    Op
 	Pool  string // pool label
@@ -67,11 +65,10 @@ type ContInfo struct {
 
 // Result is a pool service reply.
 type Result struct {
-	Pool  *PoolInfo
-	Cont  *ContInfo
-	List  []string
-	Value string
-	Err   string
+	Pool *PoolInfo
+	Cont *ContInfo
+	List []string
+	Err  string
 }
 
 // Errors surfaced by the service.
@@ -121,12 +118,6 @@ func (st *State) apply(c Command) Result {
 		}
 		st.Pools[c.Pool] = p
 		return Result{Pool: clonePool(p)}
-	case OpDestroyPool:
-		if _, ok := st.Pools[c.Pool]; !ok {
-			return Result{Err: fmt.Sprintf("pool %q: %v", c.Pool, ErrNotFound)}
-		}
-		delete(st.Pools, c.Pool)
-		return Result{}
 	case OpCreateCont:
 		p, ok := st.Pools[c.Pool]
 		if !ok {
@@ -138,16 +129,6 @@ func (st *State) apply(c Command) Result {
 		ct := &ContInfo{Label: c.Cont, UUID: st.nextUUID("cont"), Props: copyMap(c.Props)}
 		p.Conts[c.Cont] = ct
 		return Result{Cont: cloneCont(ct)}
-	case OpDestroyCont:
-		p, ok := st.Pools[c.Pool]
-		if !ok {
-			return Result{Err: fmt.Sprintf("pool %q: %v", c.Pool, ErrNotFound)}
-		}
-		if _, ok := p.Conts[c.Cont]; !ok {
-			return Result{Err: fmt.Sprintf("container %q: %v", c.Cont, ErrNotFound)}
-		}
-		delete(p.Conts, c.Cont)
-		return Result{}
 	case OpSetAttr:
 		p, ok := st.Pools[c.Pool]
 		if !ok {
@@ -155,16 +136,6 @@ func (st *State) apply(c Command) Result {
 		}
 		p.Attrs[c.Key] = c.Value
 		return Result{}
-	case OpGetAttr:
-		p, ok := st.Pools[c.Pool]
-		if !ok {
-			return Result{Err: fmt.Sprintf("pool %q: %v", c.Pool, ErrNotFound)}
-		}
-		v, ok := p.Attrs[c.Key]
-		if !ok {
-			return Result{Err: fmt.Sprintf("attr %q: %v", c.Key, ErrNotFound)}
-		}
-		return Result{Value: v}
 	case OpListConts:
 		p, ok := st.Pools[c.Pool]
 		if !ok {

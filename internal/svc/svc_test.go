@@ -56,6 +56,12 @@ func (h *harness) exec(t *testing.T, cmd Command) (Result, error) {
 	return res, err
 }
 
+// state returns replica i's replicated state machine. No client op reads
+// attributes back, so tests inspect them here.
+func (h *harness) state(i int) *State {
+	return h.svc.replicas[i].StateMachineRef().(*State)
+}
+
 func TestCreateAndQueryPool(t *testing.T) {
 	h := newHarness(t)
 	res, err := h.exec(t, Command{Op: OpCreatePool, Pool: "p0", Targets: []int{0, 1, 2, 3}})
@@ -106,13 +112,6 @@ func TestContainerLifecycle(t *testing.T) {
 	if len(res.List) != 2 || res.List[0] != "a-first" || res.List[1] != "c0" {
 		t.Fatalf("list = %v", res.List)
 	}
-	if _, err := h.exec(t, Command{Op: OpDestroyCont, Pool: "p0", Cont: "c0"}); err != nil {
-		t.Fatal(err)
-	}
-	res, _ = h.exec(t, Command{Op: OpListConts, Pool: "p0"})
-	if len(res.List) != 1 {
-		t.Fatalf("list after destroy = %v", res.List)
-	}
 }
 
 func TestAttrs(t *testing.T) {
@@ -121,18 +120,18 @@ func TestAttrs(t *testing.T) {
 	if _, err := h.exec(t, Command{Op: OpSetAttr, Pool: "p0", Key: "owner", Value: "ecmwf"}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.exec(t, Command{Op: OpGetAttr, Pool: "p0", Key: "owner"})
-	if err != nil || res.Value != "ecmwf" {
-		t.Fatalf("attr = %q, %v", res.Value, err)
+	attrs := h.state(h.svc.Leader()).Pools["p0"].Attrs
+	if v, ok := attrs["owner"]; !ok || v != "ecmwf" {
+		t.Fatalf("leader's attrs = %v, want owner=ecmwf", attrs)
 	}
-	if _, err := h.exec(t, Command{Op: OpGetAttr, Pool: "p0", Key: "missing"}); err == nil {
-		t.Fatal("missing attr read succeeded")
+	if _, ok := attrs["missing"]; ok {
+		t.Fatal("unset attr present")
 	}
 }
 
 func TestMissingPoolErrors(t *testing.T) {
 	h := newHarness(t)
-	for _, op := range []Op{OpQueryPool, OpDestroyPool, OpCreateCont, OpListConts, OpSetAttr} {
+	for _, op := range []Op{OpQueryPool, OpCreateCont, OpListConts, OpSetAttr} {
 		if _, err := h.exec(t, Command{Op: op, Pool: "nope", Cont: "c", Key: "k"}); err == nil {
 			t.Fatalf("op %s on missing pool succeeded", op)
 		}

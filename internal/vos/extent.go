@@ -84,8 +84,8 @@ func (t *ExtentTree) Insert(offset int64, epoch Epoch, n int64, data []byte) {
 // the epoch (0 when the whole range is a hole). A visible byte whose newest
 // write is length-only fails the read with ErrNoContent.
 //
-// This is the hottest path of the whole simulator — every simulated fetch
-// lands here with transfer-sized ranges — so it avoids the naive
+// The data path reads through ReadInto; Read returns a fresh buffer and is
+// the reference the tests hold ReadInto to. Both avoid the naive
 // mark-a-bool-per-byte formulation: the covered prefix comes from an
 // interval walk over the (offset-ordered) visible extents, the overlap scan
 // stops at the binary-searched first extent starting past the range, and a

@@ -173,27 +173,13 @@ func (c *Container) UpdateArrayFrom(oid ObjectID, dk, ak []byte, epoch Epoch, of
 	return created
 }
 
-// FetchArray reads length bytes at offset visible at epoch. Holes read as
-// zeros; a fully-absent akey returns ErrNotFound, and a byte whose newest
-// write is length-only fails the fetch with ErrNoContent.
-func (c *Container) FetchArray(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, length int) ([]byte, error) {
-	a, err := c.lookupAkey(oid, dk, ak)
-	if err != nil {
-		return nil, err
-	}
-	if a.kind != kindArray {
-		return nil, fmt.Errorf("%w: akey %q is not an array", ErrNotFound, ak)
-	}
-	buf, _, err := a.extents.Read(offset, length, epoch)
-	return buf, err
-}
-
 // FetchArrayInto reads length bytes at offset visible at epoch into dst,
 // which must be length bytes long (holes read as zeros; every byte of dst is
-// written). A nil dst performs the identical lookup and visibility walk
-// without materializing bytes — absence semantics (ErrNotFound) are exactly
-// FetchArray's either way, and so is ErrNoContent for a non-nil dst; a nil
-// dst never fails on a length-only extent.
+// written). A fully-absent akey returns ErrNotFound, and a byte whose newest
+// write is length-only fails the fetch with ErrNoContent. A nil dst
+// performs the identical lookup and visibility walk without materializing
+// bytes: it fails with ErrNotFound just the same, but never on a
+// length-only extent.
 func (c *Container) FetchArrayInto(oid ObjectID, dk, ak []byte, epoch Epoch, offset int64, length int, dst []byte) error {
 	a, err := c.lookupAkey(oid, dk, ak)
 	if err != nil {

@@ -47,8 +47,8 @@ func TestArrayRoundTrip(t *testing.T) {
 	data := bytes.Repeat([]byte("x"), 1024)
 	c.UpdateArray(testOID, []byte("dk"), []byte("data"), 1, 0, data)
 	c.UpdateArray(testOID, []byte("dk"), []byte("data"), 2, 1024, data)
-	got, err := c.FetchArray(testOID, []byte("dk"), []byte("data"), EpochMax, 512, 1024)
-	if err != nil {
+	got := make([]byte, 1024)
+	if err := c.FetchArrayInto(testOID, []byte("dk"), []byte("data"), EpochMax, 512, 1024, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, bytes.Repeat([]byte("x"), 1024)) {
@@ -109,7 +109,8 @@ func TestManyObjectsManyDkeys(t *testing.T) {
 			if err != nil || v[0] != byte(o) || v[1] != byte(d) {
 				t.Fatalf("obj %d dkey %d: %v %v", o, d, v, err)
 			}
-			arr, err := c.FetchArray(oid, dk, []byte("data"), EpochMax, int64(d)*10, 10)
+			arr := make([]byte, 10)
+			err = c.FetchArrayInto(oid, dk, []byte("data"), EpochMax, int64(d)*10, 10, arr)
 			if err != nil || !bytes.Equal(arr, bytes.Repeat([]byte{byte(o)}, 10)) {
 				t.Fatalf("obj %d dkey %d array: %v %v", o, d, arr, err)
 			}
