@@ -53,7 +53,7 @@ func TestDiskEvictionHoldsBudget(t *testing.T) {
 	for i := range keys {
 		keys[i] = keyOf(string(rune('a' + i)))
 		c.Put(keys[i], Entry{WriteGiBs: float64(i)})
-		// Separate the access times so the LRU order is unambiguous
+		// Separate the mtimes so the LRU order is unambiguous
 		// regardless of filesystem timestamp granularity.
 		age(t, dir, keys[i], time.Duration(len(keys)-i)*time.Minute)
 	}
@@ -81,7 +81,7 @@ func TestDiskEvictionHoldsBudget(t *testing.T) {
 }
 
 // TestDiskEvictionSparesRecentHits checks that a Load refreshes an
-// entry's access time, protecting hot entries from eviction even when
+// entry's mtime, protecting hot entries from eviction even when
 // they were stored first.
 func TestDiskEvictionSparesRecentHits(t *testing.T) {
 	dir := t.TempDir()

@@ -70,7 +70,8 @@ func DecodeEntry(buf []byte) (Entry, error) {
 
 // diskTier persists entries as one small checksummed file per key,
 // optionally bounded to max bytes with least-recently-used file
-// eviction (ranked by atime, which Load touches on every hit).
+// eviction (ranked by mtime: every Store writes a fresh file, and a
+// bounded tier's Load touches it on every hit).
 type diskTier struct {
 	dir string
 	max int64 // byte budget; <= 0 means unbounded
@@ -82,8 +83,8 @@ type diskTier struct {
 
 // newDiskTier opens the on-disk tier rooted at dir, creating the directory
 // if missing. Once the tier's .pt files exceed maxBytes, stores evict the
-// least-recently-used entries (oldest access time first) until the tier
-// fits again. maxBytes <= 0 means unbounded. The budget is enforced per
+// least-recently-used entries (oldest modification time first) until the
+// tier fits again. maxBytes <= 0 means unbounded. The budget is enforced per
 // store, so the tier can briefly hold one entry over it.
 func newDiskTier(dir string, maxBytes int64) (*diskTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -142,9 +143,9 @@ func (d *diskTier) Load(k Key) (Entry, LoadResult) {
 		return Entry{}, LoadCorrupt
 	}
 	if d.max > 0 {
-		// Touch the entry so LRU eviction sees this hit: relatime mounts
-		// defer read-driven atime updates, so rank by an explicit one
-		// (mtime too, for platforms where atime is unreadable).
+		// Touch the entry so LRU eviction, which ranks by mtime, sees this
+		// hit (a read alone never moves mtime, and relatime mounts defer
+		// read-driven atime updates).
 		now := time.Now()
 		os.Chtimes(d.path(k), now, now)
 	}
@@ -191,8 +192,8 @@ func (d *diskTier) Store(k Key, e Entry) error {
 	return nil
 }
 
-// evictLocked removes least-recently-used .pt files (oldest access time
-// first) until the tier fits d.max, sparing keep — the entry whose
+// evictLocked removes least-recently-used .pt files (oldest mtime first)
+// until the tier fits d.max, sparing keep — the entry whose
 // store triggered the eviction (evicting what was just written would
 // make the newest point the first casualty).
 func (d *diskTier) evictLocked(keep string) {
@@ -203,7 +204,7 @@ func (d *diskTier) evictLocked(keep string) {
 	type candidate struct {
 		name  string
 		size  int64
-		atime time.Time
+		mtime time.Time
 	}
 	var cands []candidate
 	var resident int64
@@ -219,12 +220,12 @@ func (d *diskTier) evictLocked(keep string) {
 		if ent.Name() == keep {
 			continue
 		}
-		cands = append(cands, candidate{name: ent.Name(), size: fi.Size(), atime: fileATime(fi)})
+		cands = append(cands, candidate{name: ent.Name(), size: fi.Size(), mtime: fi.ModTime()})
 	}
 	// Trust the census over the incremental estimate (an external sweep
 	// may have removed files behind our back).
 	d.size = resident
-	sort.Slice(cands, func(i, j int) bool { return cands[i].atime.Before(cands[j].atime) })
+	sort.Slice(cands, func(i, j int) bool { return cands[i].mtime.Before(cands[j].mtime) })
 	for _, c := range cands {
 		if d.size <= d.max {
 			break

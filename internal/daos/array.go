@@ -49,12 +49,16 @@ func (a *Array) Write(p *sim.Proc, off int64, data []byte) error {
 	return a.WriteAtFrom(p, off, int64(len(data)), data)
 }
 
-// WriteAtFrom stores n bytes at the byte offset from src, which is nil or n
-// bytes long. A nil src is a length-only write: identical RPCs and timing,
-// but the extents record only their ranges, and a later read that asks for
-// their bytes fails with vos.ErrNoContent. The store keeps src, not a copy:
+// WriteAtFrom stores n bytes at the byte offset, which must not be
+// negative, from src, which is nil or n bytes long. A nil src is a
+// length-only write: identical RPCs and timing, but the extents record only
+// their ranges, and a later read that asks for their bytes fails with
+// vos.ErrNoContent. The store keeps src, not a copy:
 // do not modify it after the call.
 func (a *Array) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	if off < 0 {
+		return fmt.Errorf("daos: array write at negative offset %d", off)
+	}
 	if n <= 0 {
 		return nil
 	}
@@ -79,13 +83,17 @@ func (a *Array) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	return a.Obj.Update(p, writes)
 }
 
-// ReadAtInto fetches n bytes at the byte offset as visible at epoch (0 =
-// latest) into dst, which must be n bytes long. Each chunk span lands in its
+// ReadAtInto fetches n bytes at the byte offset, which must not be
+// negative, as visible at epoch (0 = latest) into dst, which must be n
+// bytes long. Each chunk span lands in its
 // disjoint sub-slice of dst directly (the engine fills the span in place),
 // so every byte materializes exactly once with no assembly pass; chunks with
 // no data on their shard read as zeros. A nil dst simulates the read —
 // identical RPCs, identical timing — without materializing any bytes.
 func (a *Array) ReadAtInto(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst []byte) error {
+	if off < 0 {
+		return fmt.Errorf("daos: array read at negative offset %d", off)
+	}
 	if n <= 0 {
 		return nil
 	}

@@ -170,6 +170,34 @@ func TestArrayHolesReadZero(t *testing.T) {
 	})
 }
 
+// TestArrayRejectsNegativeOffset pins that a negative offset is an error at
+// the array, never an extent: on an SX array a write at -4 MiB would map to
+// a negative shard index and panic the simulation, and one at -4096 would
+// store an extent at a negative offset inside a chunk.
+func TestArrayRejectsNegativeOffset(t *testing.T) {
+	withContainer(t, placement.SX, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
+		arr, err := ct.OpenArray(p, ct.AllocOID(placement.SX))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, off := range []int64{-4 << 20, -4096, -1} {
+			if err := arr.WriteAtFrom(p, off, 4096, make([]byte, 4096)); err == nil {
+				t.Errorf("write at %d accepted", off)
+			}
+			if err := arr.WriteAtFrom(p, off, 4096, nil); err == nil {
+				t.Errorf("length-only write at %d accepted", off)
+			}
+			if err := arr.ReadAtInto(p, off, 4096, 0, make([]byte, 4096)); err == nil {
+				t.Errorf("read at %d accepted", off)
+			}
+		}
+		if size, err := arr.Size(p); err != nil || size != 0 {
+			t.Errorf("size after rejected writes = %d, %v; want 0", size, err)
+		}
+	})
+}
+
 // TestArrayReadHoleShapes pins the hole contract across every read shape:
 // whatever mix of written spans and holes the window covers — including a
 // window entirely inside one unwritten chunk, the case the old single-span

@@ -246,6 +246,26 @@ func (fd *File) Close(p *sim.Proc) error {
 	return fd.mount.request(p, 0, func(p *sim.Proc) error { return fd.f.Close(p) })
 }
 
+// Positioned gives a descriptor the positioned-I/O shape of the layers
+// that run over the mount (mpiio.Driver, hdf5.VFD, IOR's files):
+// WriteAtFrom is PwriteFrom without the count, ReadAtInto is PreadInto,
+// Sync is Fsync, and Close is the descriptor's own.
+type Positioned struct{ *File }
+
+// WriteAtFrom writes n bytes at the offset from src, as PwriteFrom does.
+func (fd Positioned) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
+	_, err := fd.PwriteFrom(p, off, n, src)
+	return err
+}
+
+// ReadAtInto reads n bytes at the offset into dst, as PreadInto does.
+func (fd Positioned) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
+	return fd.PreadInto(p, off, n, dst)
+}
+
+// Sync flushes the file, as Fsync does.
+func (fd Positioned) Sync(p *sim.Proc) error { return fd.Fsync(p) }
+
 // Mkdir creates a directory through the mount.
 func (m *Mount) Mkdir(p *sim.Proc, path string) error {
 	return m.request(p, 0, func(p *sim.Proc) error { return m.fs.MkdirAll(p, path) })

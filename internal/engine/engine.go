@@ -479,12 +479,9 @@ const (
 	hexDigits   = "0123456789abcdef"
 )
 
-// ChunkDkey encodes a chunk index as the dkey of a striped array object
-// (the DFS file layout: one dkey per chunk).
+// ChunkDkey encodes a non-negative chunk index as the dkey of a striped
+// array object (the DFS file layout: one dkey per chunk).
 func ChunkDkey(idx int64) []byte {
-	if idx < 0 {
-		return []byte(fmt.Sprintf(chunkPrefix+"%016x", idx))
-	}
 	dk := make([]byte, len(chunkPrefix)+chunkDigits)
 	copy(dk, chunkPrefix)
 	for i := len(dk) - 1; i >= len(chunkPrefix); i-- {
@@ -494,30 +491,13 @@ func ChunkDkey(idx int64) []byte {
 	return dk
 }
 
-// DecodeChunkDkey parses a chunk dkey back to its index. It runs for every
-// dkey a client sends, so the canonical form is parsed directly and a dkey
-// without the "chunk." prefix, which fmt.Sscanf would reject at its first
-// literal, is rejected without calling it; any other input gets Sscanf's
-// answer.
-func DecodeChunkDkey(dk []byte) (int64, bool) {
-	if len(dk) < len(chunkPrefix) || string(dk[:len(chunkPrefix)]) != chunkPrefix {
-		return 0, false
-	}
-	if idx, ok := decodeCanonicalChunk(dk); ok {
-		return idx, true
-	}
-	var idx int64
-	if n, err := fmt.Sscanf(string(dk), chunkPrefix+"%016x", &idx); n != 1 || err != nil {
-		return 0, false
-	}
-	return idx, true
-}
-
-// decodeCanonicalChunk parses a dkey with the "chunk." prefix followed by
+// DecodeChunkDkey parses a chunk dkey back to its index. Only the
+// canonical form ChunkDkey makes decodes: the "chunk." prefix followed by
 // exactly 16 lowercase hex digits whose first is 0-7, so the value fits an
-// int64.
-func decodeCanonicalChunk(dk []byte) (int64, bool) {
-	if len(dk) != len(chunkPrefix)+chunkDigits || dk[len(chunkPrefix)] > '7' {
+// int64. Any other dkey (a DFS entry name, the superblock) is not a chunk.
+func DecodeChunkDkey(dk []byte) (int64, bool) {
+	if len(dk) != len(chunkPrefix)+chunkDigits || string(dk[:len(chunkPrefix)]) != chunkPrefix ||
+		dk[len(chunkPrefix)] > '7' {
 		return 0, false
 	}
 	var idx int64

@@ -300,28 +300,33 @@ func TestChunkDkeyRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzChunkDkeyMatchesFmt pins ChunkDkey and DecodeChunkDkey to the fmt
-// forms they replace on the hot path, for every index and every dkey.
+// FuzzChunkDkeyMatchesFmt pins ChunkDkey to the fmt form it replaces on
+// the hot path for every non-negative index, and DecodeChunkDkey to its
+// inverse: a dkey decodes exactly when it is that canonical form, and then
+// to fmt.Sscanf's answer.
 func FuzzChunkDkeyMatchesFmt(f *testing.F) {
 	for _, idx := range []int64{0, 1, 255, 1 << 40, math.MaxInt64, -1, math.MinInt64} {
 		f.Add(idx, string(ChunkDkey(idx)))
 	}
 	for _, dk := range []string{"", "chunk.", "chunk.8000000000000000", "chunk.000000000000000A",
-		"chunk.00000000000000001", "chunk.+000000000000001", "chunk.0x00000000000001", "chunk.0000000000000001 ", "not-a-chunk"} {
+		"chunk.00000000000000001", "chunk.+000000000000001", "chunk.0x00000000000001", "chunk.0000000000000001 ",
+		"chunk.-000000000000004", "not-a-chunk"} {
 		f.Add(int64(0), dk)
 	}
 	f.Fuzz(func(t *testing.T, idx int64, dk string) {
-		if got, want := string(ChunkDkey(idx)), fmt.Sprintf("chunk.%016x", idx); got != want {
-			t.Fatalf("ChunkDkey(%d) = %q, want %q", idx, got, want)
+		if idx >= 0 {
+			if got, want := string(ChunkDkey(idx)), fmt.Sprintf("chunk.%016x", idx); got != want {
+				t.Fatalf("ChunkDkey(%d) = %q, want %q", idx, got, want)
+			}
 		}
 		var want int64
 		n, err := fmt.Sscanf(dk, "chunk.%016x", &want)
-		wantOK := n == 1 && err == nil
+		wantOK := n == 1 && err == nil && want >= 0 && dk == fmt.Sprintf("chunk.%016x", want)
 		if !wantOK {
 			want = 0
 		}
 		if got, ok := DecodeChunkDkey([]byte(dk)); got != want || ok != wantOK {
-			t.Fatalf("DecodeChunkDkey(%q) = %d, %v; fmt gives %d, %v", dk, got, ok, want, wantOK)
+			t.Fatalf("DecodeChunkDkey(%q) = %d, %v; want %d, %v", dk, got, ok, want, wantOK)
 		}
 	})
 }

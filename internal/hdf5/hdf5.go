@@ -15,8 +15,8 @@
 //     rewrites the superblock; Open reads both back.
 //   - Each dataset call charges library CPU (type/hyperslab bookkeeping).
 //
-// The VFD interface matches package mpiio's File and a DFuse-backed POSIX
-// adapter, mirroring H5FD_mpio and H5FD_sec2.
+// The VFD interface matches package mpiio's File and dfuse.Positioned,
+// mirroring H5FD_mpio and H5FD_sec2.
 package hdf5
 
 import (
@@ -42,21 +42,8 @@ type VFD interface {
 	Close(p *sim.Proc) error
 }
 
-// posixVFD adapts a DFuse file descriptor (H5FD_sec2 over the mount).
-type posixVFD struct{ fd *dfuse.File }
-
-// NewPosixVFD wraps a DFuse file as a VFD.
-func NewPosixVFD(fd *dfuse.File) VFD { return &posixVFD{fd: fd} }
-
-func (v *posixVFD) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
-	_, err := v.fd.PwriteFrom(p, off, n, src)
-	return err
-}
-func (v *posixVFD) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
-	return v.fd.PreadInto(p, off, n, dst)
-}
-func (v *posixVFD) Sync(p *sim.Proc) error  { return v.fd.Fsync(p) }
-func (v *posixVFD) Close(p *sim.Proc) error { return v.fd.Close(p) }
+// NewPosixVFD wraps a DFuse file as a VFD (H5FD_sec2 over the mount).
+func NewPosixVFD(fd *dfuse.File) VFD { return dfuse.Positioned{File: fd} }
 
 // Format constants.
 const (

@@ -94,6 +94,9 @@ func (c *Config) Validate() error {
 	if c.RandomOffsets && c.Collective {
 		return errors.New("ior: random offsets cannot be combined with collective I/O")
 	}
+	if c.API == APIMPIIO && c.Collective && c.FilePerProc {
+		return errors.New("ior: collective MPI-I/O requires a shared file")
+	}
 	switch c.API {
 	case APIPosix, APIDFS, APIMPIIO, APIHDF5:
 	default:
@@ -314,11 +317,7 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 	var writeSpan, readSpan time.Duration
 
 	env.World.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
-		be, err := newBackend(cfg, env, ns, r)
-		if err != nil {
-			noteErr(err)
-			return
-		}
+		be := newBackend(&cfg, env, ns, r)
 		path := func(fileRank int) string {
 			if cfg.FilePerProc {
 				return fmt.Sprintf("%s/testFile.%08d", dir, fileRank)
@@ -329,7 +328,7 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 		if cfg.DoWrite {
 			r.Barrier(cp)
 			start := cp.Now()
-			h, err := be.create(cp, path(r.ID()))
+			f, err := be.openFile(cp, path(r.ID()), true)
 			if err != nil {
 				noteErr(fmt.Errorf("rank %d create: %w", r.ID(), err))
 				return
@@ -346,12 +345,12 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 					buf = make([]byte, cfg.TransferSize)
 					pattern(buf, r.ID(), off)
 				}
-				if err := h.writeAt(cp, off, cfg.TransferSize, buf); err != nil {
+				if err := f.WriteAtFrom(cp, off, cfg.TransferSize, buf); err != nil {
 					noteErr(fmt.Errorf("rank %d write: %w", r.ID(), err))
 					return
 				}
 			}
-			noteErr(h.closeFile(cp))
+			noteErr(f.Close(cp))
 			r.Barrier(cp)
 			span := cp.Now() - start
 			writeSpan = r.AllreduceDuration(cp, span, "max")
@@ -365,13 +364,13 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 			}
 			r.Barrier(cp)
 			start := cp.Now()
-			h, err := be.open(cp, path(srcRank))
+			f, err := be.openFile(cp, path(srcRank), false)
 			if err != nil {
 				noteErr(fmt.Errorf("rank %d open: %w", r.ID(), err))
 				return
 			}
 			// With verification on, one reused buffer receives every
-			// transfer (readAtInto overwrites all n bytes, holes as zeros).
+			// transfer (ReadAtInto overwrites all n bytes, holes as zeros).
 			// Without it the contents are irrelevant: a nil destination
 			// simulates each read with identical timing while the data path
 			// materializes nothing — real IOR still moves the bytes, but the
@@ -383,7 +382,7 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 			}
 			for _, st := range cfg.opOrder(r.ID(), transfersPerBlock) {
 				off := cfg.offset(srcRank, ranks, st[0], st[1])
-				if err := h.readAtInto(cp, off, cfg.TransferSize, readBuf); err != nil {
+				if err := f.ReadAtInto(cp, off, cfg.TransferSize, readBuf); err != nil {
 					noteErr(fmt.Errorf("rank %d read: %w", r.ID(), err))
 					return
 				}
@@ -394,7 +393,7 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 					}
 				}
 			}
-			noteErr(h.closeFile(cp))
+			noteErr(f.Close(cp))
 			r.Barrier(cp)
 			span := cp.Now() - start
 			readSpan = r.AllreduceDuration(cp, span, "max")

@@ -272,6 +272,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{API: ior.APIDFS}, // no sizes
 		{API: ior.APIDFS, BlockSize: 100, TransferSize: 64},     // not a multiple
 		{API: "NFS", BlockSize: 1 << 20, TransferSize: 1 << 20}, // unknown API
+		// collective MPI-I/O on a file per process
+		{API: ior.APIMPIIO, FilePerProc: true, Collective: true, BlockSize: 1 << 20, TransferSize: 1 << 20},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

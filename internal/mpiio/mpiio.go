@@ -2,9 +2,10 @@
 // handles opened collectively over an ADIO driver, independent read/write,
 // and two-phase collective I/O with node-level aggregators.
 //
-// Two ADIO drivers mirror the paper's configurations: the DFS driver calls
-// libdfs directly (DAOS-native MPI-I/O), and the POSIX driver goes through
-// the DFuse mount (how MPI-I/O ran in the paper's evaluation).
+// Two ADIO drivers mirror the paper's configurations: a dfs.File calls
+// libdfs directly (DAOS-native MPI-I/O), and a dfuse.Positioned descriptor
+// goes through the DFuse mount (how MPI-I/O ran in the paper's
+// evaluation).
 package mpiio
 
 import (
@@ -18,42 +19,18 @@ import (
 	"daosim/internal/sim"
 )
 
-// Driver is the ADIO device abstraction (one open handle per rank).
-// WriteAtFrom writes n bytes from src (len(src) == n), or — with a nil src
-// — writes length-only with identical timing. ReadAtInto fills dst
-// (len(dst) == n) in place, or — with a nil dst — simulates the read with
-// identical timing while materializing nothing.
+// Driver is the ADIO device abstraction (one open handle per rank), which
+// *dfs.File and dfuse.Positioned satisfy. WriteAtFrom writes n bytes from
+// src (len(src) == n), or — with a nil src — writes length-only with
+// identical timing. ReadAtInto fills dst (len(dst) == n) in place, or —
+// with a nil dst — simulates the read with identical timing while
+// materializing nothing.
 type Driver interface {
 	WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error
 	ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
 	Sync(p *sim.Proc) error
 	Close(p *sim.Proc) error
 }
-
-// dfsDriver drives a DFS file directly.
-type dfsDriver struct{ f *dfs.File }
-
-func (d *dfsDriver) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
-	return d.f.WriteAtFrom(p, off, n, src)
-}
-func (d *dfsDriver) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
-	return d.f.ReadAtInto(p, off, n, dst)
-}
-func (d *dfsDriver) Sync(p *sim.Proc) error  { return d.f.Sync(p) }
-func (d *dfsDriver) Close(p *sim.Proc) error { return d.f.Close(p) }
-
-// posixDriver drives a file through a DFuse mount.
-type posixDriver struct{ fd *dfuse.File }
-
-func (d *posixDriver) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
-	_, err := d.fd.PwriteFrom(p, off, n, src)
-	return err
-}
-func (d *posixDriver) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
-	return d.fd.PreadInto(p, off, n, dst)
-}
-func (d *posixDriver) Sync(p *sim.Proc) error  { return d.fd.Fsync(p) }
-func (d *posixDriver) Close(p *sim.Proc) error { return d.fd.Close(p) }
 
 // Hints configure collective buffering, mirroring ROMIO's cb_* hints.
 type Hints struct {
@@ -107,7 +84,7 @@ func OpenDFS(p *sim.Proc, r *mpi.Rank, fsys *dfs.FS, path string, create bool, o
 	if err != nil {
 		return nil, fmt.Errorf("mpiio: open %s: %w", path, err)
 	}
-	return newFile(r, &dfsDriver{f: f}, hints), nil
+	return newFile(r, f, hints), nil
 }
 
 // OpenPOSIX opens path through the POSIX ADIO driver over the rank's DFuse
@@ -125,13 +102,13 @@ func OpenPOSIX(p *sim.Proc, r *mpi.Rank, mount *dfuse.Mount, path string, create
 	if err != nil {
 		return nil, fmt.Errorf("mpiio: open %s: %w", path, err)
 	}
-	return newFile(r, &posixDriver{fd: fd}, hints), nil
+	return newFile(r, dfuse.Positioned{File: fd}, hints), nil
 }
 
 // FromPOSIX wraps an already-open DFuse descriptor as an MPI-I/O handle
 // (MPI_COMM_SELF-style file-per-process opens, as IOR uses in easy mode).
 func FromPOSIX(r *mpi.Rank, fd *dfuse.File, hints Hints) *File {
-	return newFile(r, &posixDriver{fd: fd}, hints)
+	return newFile(r, dfuse.Positioned{File: fd}, hints)
 }
 
 func newFile(r *mpi.Rank, drv Driver, hints Hints) *File {
