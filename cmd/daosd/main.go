@@ -115,7 +115,8 @@ func main() {
 			cacheState = "on, peer " + *cachePeer
 		}
 	}
-	// The listening line is the readiness marker scripts and CI wait for.
+	// The listening line is the readiness marker scripts and TestBinaries
+	// wait for; with -addr :0 it is also where they read the port.
 	fmt.Printf("daosd: listening on http://%s (workers=%d, cache=%s, GOMAXPROCS=%d)\n",
 		ln.Addr(), srv.Workers(), cacheState, runtime.GOMAXPROCS(0))
 	if len(remotes) > 0 {

@@ -173,7 +173,8 @@ func TestWarmCacheFigure1AllHits(t *testing.T) {
 			after.Misses-before.Misses, after.Hits-before.Hits, points)
 	}
 	// The warm pass alone is a 100%-hit window; its Stats snapshot must
-	// report it that way (the marker cmd/figures prints and CI greps).
+	// report it that way (the marker cmd/figures prints and TestBinaries
+	// checks).
 	warmOnly := cache.Stats{Hits: after.Hits - before.Hits, MemHits: after.MemHits - before.MemHits}
 	if !strings.Contains(warmOnly.String(), "100.0% hits") {
 		t.Fatalf("warm pass not reported as 100%% hits: %s", warmOnly)

@@ -48,6 +48,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+
+	"daosim/internal/backoff"
 )
 
 // Entry is one memoized study point: the measured bandwidth pair plus the
@@ -81,8 +83,9 @@ type Options struct {
 	// that address (host:port or an http:// URL). The remote tier sits
 	// below disk, so a point found on the peer hydrates both local tiers.
 	Peer string
-	// PeerOptions tunes the remote tier; zero values take defaults.
-	PeerOptions RemoteOptions
+	// PeerBackoff is the remote tier's down-window schedule; the zero
+	// value takes the default (100ms doubling to 5s).
+	PeerBackoff backoff.Schedule
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.
@@ -162,7 +165,7 @@ func New(o Options) (*Cache, error) {
 		c.tiers = append(c.tiers, d)
 	}
 	if o.Peer != "" {
-		c.remote = newRemoteTier(o.Peer, o.PeerOptions)
+		c.remote = newRemoteTier(o.Peer, o.PeerBackoff)
 		c.tiers = append(c.tiers, c.remote)
 	}
 	return c, nil

@@ -266,8 +266,8 @@ func TestStatsString(t *testing.T) {
 	c.Put(k, Entry{})
 	c.Get(k)
 	s := c.Stats().String()
-	// The CI cache-smoke step greps for the rate marker; pin it here so a
-	// format change can't silently break the workflow.
+	// TestBinaries (internal/integration) looks for the rate marker in a
+	// warm run's output; pin it here so a format change fails here first.
 	if !strings.Contains(s, "(100.0% hits)") {
 		t.Fatalf("stats string lost the hit-rate marker: %q", s)
 	}

@@ -116,8 +116,6 @@ func (d *diskTier) evicted() int64 {
 	return d.evictions
 }
 
-func (d *diskTier) Name() string { return "disk" }
-
 // path returns the file for k.
 func (d *diskTier) path(k Key) string {
 	return filepath.Join(d.dir, k.String()+".pt")

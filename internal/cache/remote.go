@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"daosim/internal/backoff"
 )
 
 // TierPathPrefix is the URL path under which a daosd serves its cache as a
@@ -17,25 +19,16 @@ import (
 // machine, and the record body carries its own checksum.
 const TierPathPrefix = "/v1/cache/"
 
-// RemoteOptions tunes a remote tier. Zero values take the defaults.
-type RemoteOptions struct {
-	// Timeout bounds one GET or PUT exchange end to end (default 2s). The
-	// records are tiny, so anything slower than this is a peer worth
-	// treating as down.
-	Timeout time.Duration
-	// ProbeBase is the first down period after a failed exchange; each
-	// further failure doubles it up to ProbeMax (defaults 100ms and 5s,
-	// mirroring the fleet's down-worker re-probe schedule).
-	ProbeBase time.Duration
-	ProbeMax  time.Duration
-}
+// remoteTimeout bounds one GET or PUT exchange end to end. The records are
+// tiny, so anything slower than this is a peer worth treating as down.
+const remoteTimeout = 2 * time.Second
 
 // remoteTier reads and writes a peer daosd's cache over TierPathPrefix.
 //
 // Its failure semantics are the disk tier's, stretched over the network: a
 // peer that is down, slow, or serving garbage is a miss, never an error.
-// Every exchange is bounded by Timeout; a transport failure (or a 5xx)
-// marks the peer down for ProbeBase, doubling per failure up to ProbeMax.
+// Every exchange is bounded by remoteTimeout; each consecutive transport
+// failure (or 5xx) marks the peer down for the next wait of its schedule.
 // While down, Load and Store return instantly without touching the network
 // — except that once each down period expires, exactly one caller is
 // admitted as the re-probe (its real lookup doubles as the health check;
@@ -44,42 +37,32 @@ type RemoteOptions struct {
 type remoteTier struct {
 	base  string
 	httpc *http.Client
-
-	probeBase time.Duration
-	probeMax  time.Duration
+	sched backoff.Schedule
 
 	mu        sync.Mutex
-	backoff   time.Duration // 0 = up; otherwise the current down period
+	failures  int // consecutive failed exchanges; 0 = up
 	downUntil time.Time
 	probing   bool  // one re-probe exchange is in flight
 	downs     int64 // up->down transitions
 }
 
 // newRemoteTier returns a tier backed by the daosd at peer (host:port or an
-// http:// URL).
-func newRemoteTier(peer string, o RemoteOptions) *remoteTier {
+// http:// URL), down-marked on sched (default 100ms doubling to 5s, the
+// fleet's down-worker re-probe schedule).
+func newRemoteTier(peer string, sched backoff.Schedule) *remoteTier {
 	base := strings.TrimSuffix(peer, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Second
-	}
-	if o.ProbeBase <= 0 {
-		o.ProbeBase = 100 * time.Millisecond
-	}
-	if o.ProbeMax <= 0 {
-		o.ProbeMax = 5 * time.Second
+	if sched.Base <= 0 {
+		sched = backoff.Schedule{Base: 100 * time.Millisecond, Max: 5 * time.Second}
 	}
 	return &remoteTier{
-		base:      base,
-		httpc:     &http.Client{Timeout: o.Timeout},
-		probeBase: o.ProbeBase,
-		probeMax:  o.ProbeMax,
+		base:  base,
+		httpc: &http.Client{Timeout: remoteTimeout},
+		sched: sched,
 	}
 }
-
-func (t *remoteTier) Name() string { return "remote" }
 
 func (t *remoteTier) url(k Key) string { return t.base + TierPathPrefix + k.String() }
 
@@ -88,7 +71,7 @@ func (t *remoteTier) url(k Key) string { return t.base + TierPathPrefix + k.Stri
 func (t *remoteTier) admit() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.backoff == 0 {
+	if t.failures == 0 {
 		return true
 	}
 	if time.Now().Before(t.downUntil) || t.probing {
@@ -98,19 +81,16 @@ func (t *remoteTier) admit() bool {
 	return true
 }
 
-// markDown records a failed exchange: the first failure opens a ProbeBase
-// down window, each consecutive one doubles it up to ProbeMax.
+// markDown records a failed exchange: the nth consecutive failure opens
+// a down window of the schedule's nth wait.
 func (t *remoteTier) markDown() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.probing = false
-	if t.backoff == 0 {
-		t.backoff = t.probeBase
+	if t.failures++; t.failures == 1 {
 		t.downs++
-	} else if t.backoff *= 2; t.backoff > t.probeMax {
-		t.backoff = t.probeMax
 	}
-	t.downUntil = time.Now().Add(t.backoff)
+	t.downUntil = time.Now().Add(t.sched.Wait(t.failures))
 }
 
 // markUp records a completed exchange (hit, miss, or a refusal that proves
@@ -119,7 +99,7 @@ func (t *remoteTier) markUp() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.probing = false
-	t.backoff = 0
+	t.failures = 0
 	t.downUntil = time.Time{}
 }
 

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"daosim/internal/backoff"
 )
 
 // stubPeer is a minimal in-test implementation of the /v1/cache protocol:
@@ -57,9 +59,10 @@ func (p *stubPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// fastRemote keeps the down-marking schedule test-speed.
-func fastRemote() RemoteOptions {
-	return RemoteOptions{Timeout: 2 * time.Second, ProbeBase: 2 * time.Millisecond, ProbeMax: 20 * time.Millisecond}
+// fastPeer is a cache over the peer at addr whose down-marking schedule
+// runs at test speed.
+func fastPeer(addr string) Options {
+	return Options{Peer: addr, PeerBackoff: backoff.Schedule{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}}
 }
 
 // TestRemoteTierRoundTrip: a point Put by one cache is a remote hit for a
@@ -70,11 +73,11 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(peer)
 	defer srv.Close()
 
-	a, err := New(Options{Peer: srv.URL, PeerOptions: fastRemote()})
+	a, err := New(fastPeer(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Options{Peer: srv.URL, PeerOptions: fastRemote()})
+	b, err := New(fastPeer(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestRemoteTierMissIsClean(t *testing.T) {
 	srv := httptest.NewServer(peer)
 	defer srv.Close()
 
-	c, err := New(Options{Peer: srv.URL, PeerOptions: fastRemote()})
+	c, err := New(fastPeer(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestRemoteTierPeerDownIsMissThenReadmits(t *testing.T) {
 	srv := httptest.NewServer(peer)
 	defer srv.Close()
 
-	c, err := New(Options{Peer: srv.URL, PeerOptions: fastRemote()})
+	c, err := New(fastPeer(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +184,7 @@ func TestRemoteTierCorruptBodyIsMiss(t *testing.T) {
 	srv := httptest.NewServer(peer)
 	defer srv.Close()
 
-	c, err := New(Options{Peer: srv.URL, PeerOptions: fastRemote()})
+	c, err := New(fastPeer(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestRemoteTierPutIsBestEffort(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, err := New(Options{Peer: srv.URL, PeerOptions: fastRemote()})
+	c, err := New(fastPeer(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,6 +223,21 @@ func TestRemoteTierPutIsBestEffort(t *testing.T) {
 	// The entry still landed in the local tiers.
 	if _, ok := c.Get(keyOf("dropped")); !ok {
 		t.Fatal("refused remote put lost the local entry")
+	}
+}
+
+// TestRemoteTierDefaults pins the documented remote-tier defaults: a 2s
+// exchange timeout and a down window of 100ms doubling to 5s.
+func TestRemoteTierDefaults(t *testing.T) {
+	c, err := New(Options{Peer: "127.0.0.1:9464"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.remote.httpc.Timeout; got != 2*time.Second {
+		t.Errorf("exchange timeout = %v, want 2s", got)
+	}
+	if got, want := c.remote.sched, (backoff.Schedule{Base: 100 * time.Millisecond, Max: 5 * time.Second}); got != want {
+		t.Errorf("down-window schedule = %+v, want %+v", got, want)
 	}
 }
 
@@ -241,12 +259,11 @@ func TestRemoteTierBoundedTimeout(t *testing.T) {
 		}
 	}()
 
-	o := fastRemote()
-	o.Timeout = 50 * time.Millisecond
-	c, err := New(Options{Peer: ln.Addr().String(), PeerOptions: o})
+	c, err := New(fastPeer(ln.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.remote.httpc.Timeout = 50 * time.Millisecond
 	start := time.Now()
 	if _, ok := c.Get(keyOf("hung")); ok {
 		t.Fatal("hung peer served a hit")
@@ -268,11 +285,11 @@ func TestRemoteTierConcurrentHammer(t *testing.T) {
 	srv := httptest.NewServer(peer)
 	defer srv.Close()
 
-	a, err := New(Options{Peer: srv.URL, PeerOptions: fastRemote()})
+	a, err := New(fastPeer(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Options{Peer: srv.URL, PeerOptions: fastRemote()})
+	b, err := New(fastPeer(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}

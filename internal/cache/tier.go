@@ -14,10 +14,6 @@ import (
 // — its error is counted by the Cache, not surfaced to callers.
 // Implementations must be safe for concurrent use.
 type Tier interface {
-	// Name identifies the tier in diagnostics. The Cache attributes stats
-	// by tier: the remote tier feeds the remote counters, every other tier
-	// the disk ones.
-	Name() string
 	// Load returns the entry for k and how the lookup resolved.
 	Load(k Key) (Entry, LoadResult)
 	// Store writes k. Failures are reported, counted by the Cache, and
@@ -68,8 +64,6 @@ func newMemTier(max int) *memTier {
 		index: make(map[Key]*list.Element),
 	}
 }
-
-func (m *memTier) Name() string { return "memory" }
 
 func (m *memTier) Load(k Key) (Entry, LoadResult) {
 	m.mu.Lock()

@@ -62,7 +62,8 @@ type Config struct {
 	ReorderTasks bool
 	// Class is the DAOS object class for the test file(s).
 	Class placement.ClassID
-	// Collective uses collective MPI-I/O calls (-c, MPIIO only).
+	// Collective uses collective MPI-I/O calls (-c; MPIIO on a shared
+	// file only, which Validate enforces).
 	Collective bool
 	// RandomOffsets visits each rank's transfers in a deterministic
 	// shuffled order (-z), the "more varied usage patterns" the paper's
@@ -94,8 +95,8 @@ func (c *Config) Validate() error {
 	if c.RandomOffsets && c.Collective {
 		return errors.New("ior: random offsets cannot be combined with collective I/O")
 	}
-	if c.API == APIMPIIO && c.Collective && c.FilePerProc {
-		return errors.New("ior: collective MPI-I/O requires a shared file")
+	if c.Collective && (c.API != APIMPIIO || c.FilePerProc) {
+		return errors.New("ior: collective I/O requires MPI-I/O on a shared file")
 	}
 	switch c.API {
 	case APIPosix, APIDFS, APIMPIIO, APIHDF5:

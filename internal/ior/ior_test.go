@@ -274,6 +274,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{API: "NFS", BlockSize: 1 << 20, TransferSize: 1 << 20}, // unknown API
 		// collective MPI-I/O on a file per process
 		{API: ior.APIMPIIO, FilePerProc: true, Collective: true, BlockSize: 1 << 20, TransferSize: 1 << 20},
+		// collective I/O outside MPI-I/O
+		{API: ior.APIPosix, Collective: true, BlockSize: 1 << 20, TransferSize: 1 << 20},
+		{API: ior.APIDFS, Collective: true, BlockSize: 1 << 20, TransferSize: 1 << 20},
+		{API: ior.APIHDF5, Collective: true, BlockSize: 1 << 20, TransferSize: 1 << 20},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"daosim/internal/backoff"
 	"daosim/internal/cache"
 	"daosim/internal/core"
 	"daosim/internal/ior"
@@ -19,12 +20,8 @@ import (
 // fastPeer keeps a remote tier's down-marking schedule test-speed.
 func fastPeer(url string) cache.Options {
 	return cache.Options{
-		Peer: url,
-		PeerOptions: cache.RemoteOptions{
-			Timeout:   2 * time.Second,
-			ProbeBase: 2 * time.Millisecond,
-			ProbeMax:  20 * time.Millisecond,
-		},
+		Peer:        url,
+		PeerBackoff: backoff.Schedule{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"syscall"
 	"time"
 
+	"daosim/internal/backoff"
 	"daosim/internal/core"
 )
 
@@ -34,20 +35,13 @@ const (
 	DefaultHeaderTimeout = 30 * time.Second
 )
 
-// Default Submit retry policy: how long a client rides out a coordinator
-// restart. Eight attempts with doubling waits from 100ms capped at 2s is
-// ~7.5s of patience — comfortably over a daosd exec plus journal replay —
-// while a permanent failure (bad address, rejected batch) still reports
-// immediately because it is never classified retryable.
-const (
-	// DefaultRetryAttempts caps consecutive failed exchanges (connects
-	// plus severed streams that made no progress) before Submit gives up.
-	DefaultRetryAttempts = 8
-	// DefaultRetryBase is the first reconnect wait; it doubles per failed
-	// attempt up to DefaultRetryMax.
-	DefaultRetryBase = 100 * time.Millisecond
-	DefaultRetryMax  = 2 * time.Second
-)
+// DefaultRetryAttempts caps consecutive failed Submit exchanges (connects
+// plus severed streams that made no progress) before Submit gives up. With
+// NewClient's reconnect schedule (100ms doubling to 2s) its seven waits add
+// up to 7.1s of patience — comfortably over a daosd exec plus journal
+// replay — while a permanent failure (bad address, rejected batch) still
+// reports immediately because it is never classified retryable.
+const DefaultRetryAttempts = 8
 
 // newHTTPClient builds the default transport: bounded dial and
 // response-header waits, unbounded streaming body.
@@ -66,8 +60,7 @@ func newHTTPClient(dial, header time.Duration) *http.Client {
 type Client struct {
 	// HTTP is the transport. NewClient installs a client with bounded
 	// connect and response-header timeouts and no overall Timeout (streams
-	// are long-lived); replace it to tune, or leave nil on a hand-built
-	// Client to fall back to http.DefaultClient.
+	// are long-lived); replace it to tune.
 	HTTP *http.Client
 	// OnPoint, when set, observes every streamed point as it arrives —
 	// progress reporting for interactive callers. It runs on the stream
@@ -77,16 +70,15 @@ type Client struct {
 	// its backoff wait — interactive callers print it so a coordinator
 	// restart is visible, not a silent stall.
 	OnRetry func(attempt int, wait time.Duration, err error)
-	// RetryAttempts caps consecutive failed Submit exchanges; progress
-	// (any point received) resets the count. Zero means
-	// DefaultRetryAttempts; 1 disables retries entirely. Only Submit
-	// retries: SubmitJobs is the coordinator-to-worker leg, whose retry
-	// plane is the fleet scheduler, and Health/Stats are probes.
+	// RetryAttempts caps consecutive failed Submit exchanges (NewClient:
+	// DefaultRetryAttempts); progress (any point received) resets the
+	// count, and 1 disables retries entirely. Only Submit retries:
+	// SubmitJobs is the coordinator-to-worker leg, whose retry plane is
+	// the fleet scheduler, and Health/Stats are probes.
 	RetryAttempts int
-	// RetryBase and RetryMax shape the reconnect backoff (defaults
-	// DefaultRetryBase/DefaultRetryMax).
-	RetryBase time.Duration
-	RetryMax  time.Duration
+	// Retry is the reconnect wait schedule (NewClient: 100ms doubling
+	// to 2s).
+	Retry backoff.Schedule
 
 	base string
 
@@ -102,8 +94,10 @@ func NewClient(addr string) *Client {
 		base = "http://" + base
 	}
 	return &Client{
-		base: base,
-		HTTP: newHTTPClient(DefaultDialTimeout, DefaultHeaderTimeout),
+		base:          base,
+		HTTP:          newHTTPClient(DefaultDialTimeout, DefaultHeaderTimeout),
+		RetryAttempts: DefaultRetryAttempts,
+		Retry:         backoff.Schedule{Base: 100 * time.Millisecond, Max: 2 * time.Second},
 	}
 }
 
@@ -126,8 +120,8 @@ type Ledger struct {
 }
 
 // String renders the ledger in the cache-stats idiom, including the
-// "(100.0% hits)" marker CI greps for on warm runs. A fleet that had to
-// retry jobs appends its count, so worker loss is visible in every
+// "(100.0% hits)" marker TestBinaries checks on warm runs. A fleet that
+// had to retry jobs appends its count, so worker loss is visible in every
 // studyctl/figures run that survived one.
 func (l Ledger) String() string {
 	s := ""
@@ -186,15 +180,6 @@ type statusError struct {
 
 func (e *statusError) Error() string { return e.msg }
 
-// httpClient returns the transport: c.HTTP, or http.DefaultClient on a
-// hand-built Client that left it nil.
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 // open starts one stream exchange and returns the committed stream: a
 // POST of payload (a submission), or with a nil payload a GET of
 // pathAndQuery (a resume, /v1/studies/{batch}?from=seq).
@@ -214,7 +199,7 @@ func (c *Client) open(ctx context.Context, pathAndQuery string, payload any) (io
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("studysvc: %s: %w", what, err)
 	}
@@ -249,30 +234,6 @@ func transientErr(err error) bool {
 		return true
 	}
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
-func (c *Client) retryAttempts() int {
-	if c.RetryAttempts > 0 {
-		return c.RetryAttempts
-	}
-	return DefaultRetryAttempts
-}
-
-// backoff returns the wait before retry attempt n (1-based): RetryBase
-// doubling per attempt, capped at RetryMax.
-func (c *Client) backoff(n int) time.Duration {
-	base, maxWait := c.RetryBase, c.RetryMax
-	if base <= 0 {
-		base = DefaultRetryBase
-	}
-	if maxWait <= 0 {
-		maxWait = DefaultRetryMax
-	}
-	wait := base
-	for i := 1; i < n && wait < maxWait; i++ {
-		wait *= 2
-	}
-	return min(wait, maxWait)
 }
 
 // shouldRetry decides whether a failed Submit exchange is worth another
@@ -396,7 +357,7 @@ func (c *Client) exchange(ctx context.Context, cfgs []core.Config, batchID strin
 //
 // Submit rides out a restarting or briefly unreachable coordinator:
 // transient connect failures are retried with capped exponential backoff
-// (RetryAttempts/RetryBase/RetryMax), and when the server is durable
+// (RetryAttempts and Retry), and when the server is durable
 // (its Header carries a batch id) a severed stream is resumed from the
 // last received sequence offset instead of being an error — the points
 // already received are kept and only the missing tail is re-fetched, so
@@ -454,10 +415,10 @@ func (c *Client) Submit(ctx context.Context, cfgs []core.Config) ([]*core.Study,
 			attempt = 0
 		}
 		attempt++
-		if attempt >= c.retryAttempts() || !c.shouldRetry(ctx, err, batch, received) {
+		if attempt >= c.RetryAttempts || !c.shouldRetry(ctx, err, batch, received) {
 			return nil, err
 		}
-		wait := c.backoff(attempt)
+		wait := c.Retry.Wait(attempt)
 		if c.OnRetry != nil {
 			c.OnRetry(attempt, wait, err)
 		}
@@ -528,7 +489,7 @@ func (c *Client) Health(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return fmt.Errorf("studysvc: health: %w", err)
 	}
@@ -548,7 +509,7 @@ func (c *Client) Stats(ctx context.Context) (ServerStats, error) {
 	if err != nil {
 		return st, err
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return st, fmt.Errorf("studysvc: stats: %w", err)
 	}

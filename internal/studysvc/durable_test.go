@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"daosim/internal/backoff"
 	"daosim/internal/cache"
 	"daosim/internal/core"
 	"daosim/internal/ior"
@@ -286,8 +287,7 @@ func TestKillRestartResume(t *testing.T) {
 			go hs1.Serve(ln)
 
 			client := NewClient(addr)
-			client.RetryBase = 10 * time.Millisecond
-			client.RetryMax = 100 * time.Millisecond
+			client.Retry = backoff.Schedule{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond}
 			client.RetryAttempts = 50 // ride out the restart gap generously
 			var received atomic.Int64
 			var retries atomic.Int64
@@ -521,8 +521,7 @@ func TestSubmitRetriesTransient503(t *testing.T) {
 	defer front.Close()
 
 	client := NewClient(front.URL)
-	client.RetryBase = time.Millisecond
-	client.RetryMax = 5 * time.Millisecond
+	client.Retry = backoff.Schedule{Base: time.Millisecond, Max: 5 * time.Millisecond}
 	var retries []int
 	client.OnRetry = func(attempt int, wait time.Duration, err error) {
 		if !strings.Contains(err.Error(), "draining") {

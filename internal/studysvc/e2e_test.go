@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"daosim/internal/backoff"
 	"daosim/internal/cache"
 	"daosim/internal/core"
 	"daosim/internal/ior"
@@ -26,7 +27,7 @@ import (
 // quickFigureConfigs returns the Quick-scale Figure 1 + Figure 2 grids, the
 // same grids bench.Figure1/Figure2 submit at bench.Quick. In -short mode
 // (the 1-core CI race job) only the Figure 2 grid runs; the full grids are
-// covered by the plain test job and the CI server-smoke job.
+// covered by the plain test job and by TestBinaries (internal/integration).
 func quickFigureConfigs(t *testing.T) []core.Config {
 	quickNodes := []int{1, 4}
 	fig2 := core.Config{Workload: "hard", Nodes: quickNodes, Variants: core.HardVariants()}
@@ -107,7 +108,7 @@ func TestE2EByteIdenticalColdAndWarm(t *testing.T) {
 		t.Fatalf("warm run did not hit 100%%: %+v", l)
 	}
 	if !strings.Contains(l.String(), "(100.0% hits)") {
-		t.Fatalf("warm ledger missing the 100%%-hits marker CI greps: %s", l)
+		t.Fatalf("warm ledger missing the 100%%-hits marker TestBinaries checks: %s", l)
 	}
 }
 
@@ -280,9 +281,8 @@ func TestE2EFleetWorkerLossMidSweep(t *testing.T) {
 	_, w2 := startServer(t, Config{Workers: 1})
 
 	coord, cts := startServer(t, Config{
-		Remotes:   []string{w1.URL, w2.URL},
-		ProbeBase: 5 * time.Millisecond,
-		ProbeMax:  50 * time.Millisecond,
+		Remotes: []string{w1.URL, w2.URL},
+		Probe:   backoff.Schedule{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
 	})
 
 	client := NewClient(cts.URL)

@@ -101,25 +101,23 @@ func probeWait(rng *rand.Rand, backoff time.Duration) time.Duration {
 	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 
-// probeUntilUp holds a failed member out of the pool and re-probes it with
-// jittered exponential backoff (Config.ProbeBase doubling up to
-// Config.ProbeMax, each wait drawn from [backoff/2, backoff] by the member's
-// seeded RNG) until the probe succeeds or the server shuts down. While it
-// runs, the member's goroutine is not receiving from the job queue — being
-// down IS not being scheduled. Returns false when shutdown interrupted the
-// wait. Each probe's context derives from the server's lifetime, so
-// Close cancels a probe already in flight instead of waiting out its
-// timeout. Workers without a Probe are readmitted after a single backoff
-// interval: with no way to check them, one quarantine period is the only
-// gate.
+// probeUntilUp holds a failed member out of the pool and re-probes it on
+// the Config.Probe schedule, each wait drawn from [wait/2, wait] by the
+// member's seeded RNG, until the probe succeeds or the server shuts down.
+// While it runs, the member's goroutine is not receiving from the job
+// queue — being down IS not being scheduled. Returns false when shutdown
+// interrupted the wait. Each probe's context derives from the server's
+// lifetime, so Close cancels a probe already in flight instead of waiting
+// out its timeout. Workers without a Probe are readmitted after a single
+// backoff interval: with no way to check them, one quarantine period is
+// the only gate.
 func (s *Server) probeUntilUp(m *member) bool {
 	m.down.Store(true)
-	backoff := s.cfg.ProbeBase
-	for {
+	for n := 1; ; n++ {
 		select {
 		case <-s.ctx.Done():
 			return false
-		case <-time.After(probeWait(m.rng, backoff)):
+		case <-time.After(probeWait(m.rng, s.cfg.Probe.Wait(n))):
 		}
 		prober, ok := m.w.(Prober)
 		if !ok {
@@ -134,9 +132,6 @@ func (s *Server) probeUntilUp(m *member) bool {
 		}
 		if s.ctx.Err() != nil {
 			return false
-		}
-		if backoff *= 2; backoff > s.cfg.ProbeMax {
-			backoff = s.cfg.ProbeMax
 		}
 	}
 	m.readmissions.Add(1)

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"daosim/internal/backoff"
 	"daosim/internal/core"
 	"daosim/internal/ior"
 )
@@ -28,8 +29,7 @@ import (
 
 // fastProbes are fleet timing knobs scaled for tests.
 func fastProbes(cfg Config) Config {
-	cfg.ProbeBase = 2 * time.Millisecond
-	cfg.ProbeMax = 20 * time.Millisecond
+	cfg.Probe = backoff.Schedule{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}
 	return cfg
 }
 
@@ -150,8 +150,7 @@ func TestAllAttemptsExhaustedFailsThePoint(t *testing.T) {
 		return core.Point{}, errors.New("synthetic worker death")
 	})
 	_, ts := startServer(t, fastProbes(Config{
-		MaxAttempts: 2,
-		Members:     []Member{{Name: "doomed", Worker: always}},
+		Members: []Member{{Name: "doomed", Worker: always}},
 	}))
 
 	grid := smallConfig([]core.Variant{{Label: "daos S2", API: ior.APIDFS}})
@@ -162,7 +161,7 @@ func TestAllAttemptsExhaustedFailsThePoint(t *testing.T) {
 	if err == nil {
 		t.Fatal("sweep with no working workers returned nil error")
 	}
-	if !strings.Contains(err.Error(), "abandoned after 2 attempts") {
+	if !strings.Contains(err.Error(), "abandoned after 3 attempts") {
 		t.Fatalf("abandoned point does not name its attempts: %v", err)
 	}
 	var pe *core.PointErrors
@@ -439,7 +438,7 @@ func TestHungPeerTimesOut(t *testing.T) {
 func TestNewClientInstallsTimeouts(t *testing.T) {
 	c := NewClient("127.0.0.1:9464")
 	if c.HTTP == nil {
-		t.Fatal("NewClient left HTTP nil (falls back to the unbounded http.DefaultClient)")
+		t.Fatal("NewClient left HTTP nil")
 	}
 	tr, ok := c.HTTP.Transport.(*http.Transport)
 	if !ok {
@@ -453,6 +452,25 @@ func TestNewClientInstallsTimeouts(t *testing.T) {
 	}
 	if c.HTTP.Timeout != 0 {
 		t.Fatalf("NewClient set an overall Timeout (%v); streams must stay unbounded", c.HTTP.Timeout)
+	}
+}
+
+// TestDefaultSchedules pins the documented retry defaults: NewClient
+// reconnects over 8 attempts waiting 100ms doubling to 2s, and New
+// re-probes a down worker at 100ms doubling to 5s. (TestRemoteTierDefaults
+// in internal/cache pins the remote cache tier's.)
+func TestDefaultSchedules(t *testing.T) {
+	c := NewClient("127.0.0.1:9464")
+	if want := (backoff.Schedule{Base: 100 * time.Millisecond, Max: 2 * time.Second}); c.Retry != want {
+		t.Errorf("NewClient retry schedule = %+v, want %+v", c.Retry, want)
+	}
+	if c.RetryAttempts != 8 {
+		t.Errorf("NewClient retry attempts = %d, want 8", c.RetryAttempts)
+	}
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	if want := (backoff.Schedule{Base: 100 * time.Millisecond, Max: 5 * time.Second}); srv.cfg.Probe != want {
+		t.Errorf("New probe schedule = %+v, want %+v", srv.cfg.Probe, want)
 	}
 }
 

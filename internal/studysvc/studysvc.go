@@ -43,7 +43,7 @@
 // The coordinator owns fleet robustness. A worker-level failure (peer died
 // mid-point, connection reset, truncated result stream) does not fail the
 // point: the job is re-dispatched to another member — up to
-// Config.MaxAttempts times — and the failed member is marked down and
+// maxAttempts (3) times — and the failed member is marked down and
 // re-probed against its peer's /v1/healthz with exponential backoff until
 // it answers, at which point it rejoins the pool. Per-batch retry counts
 // surface in the stream trailer; cumulative per-member state in
@@ -106,10 +106,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"daosim/internal/backoff"
 	"daosim/internal/cache"
 	"daosim/internal/core"
 	"daosim/internal/jobstore"
 )
+
+// maxAttempts bounds how many workers a job is tried on before its point
+// is failed with the last worker error.
+const maxAttempts = 3
 
 // Config assembles a Server.
 type Config struct {
@@ -130,14 +135,9 @@ type Config struct {
 	// Members adds explicit pool members after the local and remote ones —
 	// the seam tests and custom topologies use.
 	Members []Member
-	// MaxAttempts bounds how many workers a job is tried on before its
-	// point is failed with the last worker error (default 3).
-	MaxAttempts int
-	// ProbeBase and ProbeMax shape the down-worker re-probe backoff: the
-	// first probe waits ProbeBase, doubling per failure up to ProbeMax
-	// (defaults 100ms and 5s).
-	ProbeBase time.Duration
-	ProbeMax  time.Duration
+	// Probe is the down-worker re-probe schedule (default 100ms doubling
+	// to 5s).
+	Probe backoff.Schedule
 	// Cache, when non-nil, memoizes completed points across submissions.
 	Cache *cache.Cache
 	// Store, when non-nil, journals every PathSubmit batch and its
@@ -215,14 +215,8 @@ func New(cfg Config) *Server {
 	if cfg.RemoteSlots <= 0 {
 		cfg.RemoteSlots = 1
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.ProbeBase <= 0 {
-		cfg.ProbeBase = 100 * time.Millisecond
-	}
-	if cfg.ProbeMax <= 0 {
-		cfg.ProbeMax = 5 * time.Second
+	if cfg.Probe.Base <= 0 {
+		cfg.Probe = backoff.Schedule{Base: 100 * time.Millisecond, Max: 5 * time.Second}
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -394,7 +388,7 @@ func (s *Server) memberLoop(m *member) {
 // must not block waiting for a free slot.
 func (s *Server) retry(t task, worker string, cause error) {
 	t.attempts++
-	if t.attempts >= s.cfg.MaxAttempts {
+	if t.attempts >= maxAttempts {
 		pt := canceledPoint(t.job())
 		pt.Err = fmt.Sprintf("studysvc: point abandoned after %d attempts; last worker %s: %v",
 			t.attempts, worker, cause)
