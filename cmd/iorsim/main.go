@@ -77,8 +77,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runSweep(nodeSweep, *ppn, ior.API(strings.ToUpper(*api)), cls, *fpp,
-			parseSize(*block), parseSize(*transfer), *segments, *iters, *collective, *parallel, *seed, pointCache)
+		if err := runSweep(nodeSweep, *ppn, ior.API(strings.ToUpper(*api)), cls, *fpp,
+			parseSize(*block), parseSize(*transfer), *segments, *iters, *collective, *parallel, *seed, pointCache); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 
@@ -129,15 +131,16 @@ func main() {
 }
 
 // runSweep fans a node sweep out through the core study runner, memoizing
-// points through c when non-nil.
+// points through c when non-nil. Flags no IOR run accepts fail once,
+// before the runner builds a testbed for any point.
 func runSweep(nodes []int, ppn int, api ior.API, cls placement.Class, fpp bool,
-	block, transfer int64, segments, iters int, collective bool, parallel int, seed uint64, c *cache.Cache) {
+	block, transfer int64, segments, iters int, collective bool, parallel int, seed uint64, c *cache.Cache) error {
 	workload := "hard"
 	if fpp {
 		workload = "easy"
 	}
 	label := strings.ToLower(string(api)) + " " + cls.Name
-	st, err := (&core.Runner{Parallelism: parallel, Cache: c}).Run(core.Config{
+	cfg := core.Config{
 		Workload:     workload,
 		Nodes:        nodes,
 		PPN:          ppn,
@@ -147,9 +150,14 @@ func runSweep(nodes []int, ppn int, api ior.API, cls placement.Class, fpp bool,
 		Iterations:   iters,
 		Variants:     []core.Variant{{Label: label, API: api, Class: cls.ID, Collective: collective}},
 		Seed:         seed,
-	})
+	}
+	iorCfg := cfg.IOR(cfg.Variants[0])
+	if err := iorCfg.Validate(); err != nil {
+		return err
+	}
+	st, err := (&core.Runner{Parallelism: parallel, Cache: c}).Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Print(st.Table(true))
 	fmt.Print(st.Table(false))
@@ -157,6 +165,7 @@ func runSweep(nodes []int, ppn int, api ior.API, cls placement.Class, fpp bool,
 	if c != nil {
 		fmt.Println(c.Stats())
 	}
+	return nil
 }
 
 // parseNodes parses the -nodes flag: a single count or a comma-separated

@@ -3,6 +3,9 @@ package main
 import (
 	"reflect"
 	"testing"
+
+	"daosim/internal/ior"
+	"daosim/internal/placement"
 )
 
 // TestParseNodes is the table-driven contract of the -nodes flag: single
@@ -73,6 +76,26 @@ func TestParseSize(t *testing.T) {
 	for _, tc := range cases {
 		if got := parseSize(tc.in); got != tc.want {
 			t.Errorf("parseSize(%q) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestSweepRejectsCollectiveOnce pins that a sweep validates its IOR flags
+// once, before the runner builds a testbed for any point: collective I/O
+// outside shared-file MPI-I/O fails with IOR's own message, not with one
+// joined failure per point.
+func TestSweepRejectsCollectiveOnce(t *testing.T) {
+	sx, err := placement.ClassByName("SX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		api ior.API
+		fpp bool
+	}{{ior.APIPosix, false}, {ior.APIDFS, false}, {ior.APIHDF5, false}, {ior.APIMPIIO, true}} {
+		err := runSweep([]int{1, 2}, 8, tc.api, sx, tc.fpp, 1<<20, 1<<20, 1, 1, true, 1, 0, nil)
+		if err == nil || err.Error() != "ior: collective I/O requires MPI-I/O on a shared file" {
+			t.Errorf("%s fpp=%v collective sweep: err = %v", tc.api, tc.fpp, err)
 		}
 	}
 }

@@ -191,11 +191,34 @@ func Run(cfg Config) (*Study, error) {
 	return (&Runner{}).Run(cfg)
 }
 
+// IOR returns the IOR configuration every point of variant v runs: both
+// phases, task reordering on, and a file per process for the easy
+// workload.
+func (c Config) IOR(v Variant) ior.Config {
+	return ior.Config{
+		API:          v.API,
+		FilePerProc:  c.Workload == "easy",
+		BlockSize:    c.BlockSize,
+		TransferSize: c.TransferSize,
+		Segments:     c.Segments,
+		Iterations:   c.Iterations,
+		DoWrite:      true,
+		DoRead:       true,
+		ReorderTasks: true,
+		Class:        v.Class,
+		Collective:   v.Collective,
+	}
+}
+
 // runPoint measures one (variant, nodes) cell on a testbed seeded with the
 // point's derived seed. With a non-nil arena the testbed's simulation
 // kernel is recycled from the arena's previous point instead of built from
 // nothing; measured results are byte-identical either way.
 func runPoint(cfg Config, v Variant, nodes int, seed uint64, arena *sim.Arena) (Point, error) {
+	iorCfg := cfg.IOR(v)
+	if err := iorCfg.Validate(); err != nil {
+		return Point{}, err // before building a testbed the run cannot use
+	}
 	cfg.Testbed.Seed = seed
 	var tb *cluster.Testbed
 	if arena == nil {
@@ -229,19 +252,7 @@ func runPoint(cfg Config, v Variant, nodes int, seed uint64, arena *sim.Arena) (
 			runErr = err
 			return
 		}
-		res, runErr = ior.Run(p, env, ior.Config{
-			API:          v.API,
-			FilePerProc:  cfg.Workload == "easy",
-			BlockSize:    cfg.BlockSize,
-			TransferSize: cfg.TransferSize,
-			Segments:     cfg.Segments,
-			Iterations:   cfg.Iterations,
-			DoWrite:      true,
-			DoRead:       true,
-			ReorderTasks: true,
-			Class:        v.Class,
-			Collective:   v.Collective,
-		})
+		res, runErr = ior.Run(p, env, iorCfg)
 	})
 	if runErr != nil {
 		return Point{}, runErr

@@ -171,3 +171,22 @@ func TestClaimCheckersOnSyntheticData(t *testing.T) {
 		t.Fatal("claim checker missed the SX regression")
 	}
 }
+
+// TestPointRejectsInvalidIORBeforeTestbed pins that a point fails on an
+// IOR configuration no run accepts before it builds a testbed: the job's
+// testbed configuration is zero, on which cluster.New panics.
+func TestPointRejectsInvalidIORBeforeTestbed(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		api      ior.API
+	}{{"hard", ior.APIPosix}, {"hard", ior.APIDFS}, {"hard", ior.APIHDF5}, {"easy", ior.APIMPIIO}} {
+		job := PointJob{
+			Cfg:     Config{Workload: tc.workload, PPN: 1, BlockSize: 1 << 20, TransferSize: 1 << 20},
+			Variant: Variant{Label: "x", API: tc.api, Class: placement.SX, Collective: true},
+			Nodes:   1,
+		}
+		if pt := job.Execute(); !strings.Contains(pt.Err, "collective I/O requires MPI-I/O on a shared file") {
+			t.Errorf("%s %s collective point: Err = %q", tc.workload, tc.api, pt.Err)
+		}
+	}
+}

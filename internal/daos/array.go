@@ -83,14 +83,42 @@ func (a *Array) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 	return a.Obj.Update(p, writes)
 }
 
+// Range is the byte range [Off, Off+Len) of an array or a file.
+type Range struct{ Off, Len int64 }
+
+// Wanted reports whether [off, off+n) meets a range of want, a list sorted
+// by offset in which nil stands for every byte, and returns want less the
+// ranges that end at or before off, so a read that visits its sub-reads in
+// ascending order walks want once.
+func Wanted(want []Range, off, n int64) ([]Range, bool) {
+	if want == nil {
+		return nil, true
+	}
+	for len(want) > 0 && want[0].Off+want[0].Len <= off {
+		want = want[1:]
+	}
+	return want, len(want) > 0 && want[0].Off < off+n
+}
+
 // ReadAtInto fetches n bytes at the byte offset, which must not be
 // negative, as visible at epoch (0 = latest) into dst, which must be n
-// bytes long. Each chunk span lands in its
-// disjoint sub-slice of dst directly (the engine fills the span in place),
-// so every byte materializes exactly once with no assembly pass; chunks with
-// no data on their shard read as zeros. A nil dst simulates the read —
-// identical RPCs, identical timing — without materializing any bytes.
+// bytes long: ReadAtWant with every byte wanted.
 func (a *Array) ReadAtInto(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst []byte) error {
+	return a.ReadAtWant(p, off, n, epoch, dst, nil)
+}
+
+// ReadAtWant fetches n bytes at the byte offset, which must not be
+// negative, as visible at epoch (0 = latest) into dst, which must be n
+// bytes long. Each chunk span lands in its disjoint sub-slice of dst
+// directly (the engine fills the span in place), so every byte
+// materializes exactly once with no assembly pass; chunks with no data on
+// their shard read as zeros. A nil dst simulates the read — identical RPCs,
+// identical timing — without materializing any bytes. want lists the
+// ranges of the array the caller will look at, sorted by offset (nil: every
+// byte): a chunk span none of them touches is read length-only with the
+// same timing, its bytes of dst are left as they were, and it never fails
+// with vos.ErrNoContent.
+func (a *Array) ReadAtWant(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst []byte, want []Range) error {
 	if off < 0 {
 		return fmt.Errorf("daos: array read at negative offset %d", off)
 	}
@@ -110,7 +138,10 @@ func (a *Array) ReadAtInto(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst
 			Length: int(l),
 		}
 		if dst != nil {
-			rd.Dst = dst[done : done+l]
+			var hit bool
+			if want, hit = Wanted(want, off+done, l); hit {
+				rd.Dst = dst[done : done+l]
+			}
 		}
 		reads = append(reads, rd)
 		done += l

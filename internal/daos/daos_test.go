@@ -452,3 +452,59 @@ func TestOIDAllocationUnique(t *testing.T) {
 		}
 	})
 }
+
+// TestArrayReadAtWantTouchedSpansOnly pins the want-aware read: into a
+// dirty buffer, ReadAtWant writes exactly the chunk spans a wanted range
+// touches, with the array's bytes, leaves every other byte as it was, and
+// takes the virtual time of the dense read of the same window.
+func TestArrayReadAtWantTouchedSpansOnly(t *testing.T) {
+	const chunk = 1 << 20 // cluster.Small container chunk size
+	const off, n = chunk / 2, 4 * chunk
+	want := []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*chunk - 1000, Len: 2000}}
+	// The spans of [off, off+n) those ranges touch: the rest of chunk 0,
+	// and chunks 2 and 3, which the second range straddles.
+	touched := func(abs int64) bool { return abs < chunk || (abs >= 2*chunk && abs < 4*chunk) }
+	data := make([]byte, off+n)
+	for i := range data {
+		data[i] = byte(i * 31 / 7)
+	}
+	read := func(want []daos.Range) (got []byte, took time.Duration) {
+		withContainer(t, placement.S2, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
+			arr, err := ct.OpenArray(p, ct.AllocOID(placement.S2))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if arr.ChunkSize != chunk {
+				t.Errorf("chunk size = %d, test geometry assumes %d", arr.ChunkSize, chunk)
+				return
+			}
+			if err := arr.Write(p, 0, data); err != nil {
+				t.Error(err)
+				return
+			}
+			got = bytes.Repeat([]byte{0xee}, n)
+			start := p.Now()
+			if err := arr.ReadAtWant(p, off, n, 0, got, want); err != nil {
+				t.Error(err)
+			}
+			took = p.Now() - start
+		})
+		return got, took
+	}
+	got, took := read(want)
+	_, dense := read(nil)
+	for i, b := range got {
+		abs := off + int64(i)
+		expect := byte(0xee)
+		if touched(abs) {
+			expect = data[abs]
+		}
+		if b != expect {
+			t.Fatalf("byte at %d = %#x, want %#x (touched: %v)", abs, b, expect, touched(abs))
+		}
+	}
+	if took != dense {
+		t.Fatalf("want-aware read took %v, dense read %v", took, dense)
+	}
+}

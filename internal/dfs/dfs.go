@@ -428,7 +428,14 @@ func (f *File) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 // every byte is written, holes as zeros). A nil dst simulates the read with
 // identical timing without materializing data.
 func (f *File) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
-	return f.arr.ReadAtInto(p, off, n, 0, dst)
+	return f.ReadAtWant(p, off, n, dst, nil)
+}
+
+// ReadAtWant is ReadAtInto that materializes only the chunk spans a range
+// of want touches, as daos.Array.ReadAtWant does; the other bytes of dst
+// are left as they were.
+func (f *File) ReadAtWant(p *sim.Proc, off int64, n int64, dst []byte, want []daos.Range) error {
+	return f.arr.ReadAtWant(p, off, n, 0, dst, want)
 }
 
 // Size returns the file's end-of-file.

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"daosim/internal/daos"
 	"daosim/internal/dfs"
 	"daosim/internal/fabric"
 	"daosim/internal/sim"
@@ -197,16 +198,26 @@ func (fd *File) PwriteFrom(p *sim.Proc, off int64, n int64, src []byte) (int, er
 }
 
 // PreadInto reads n bytes at the offset into dst (len(dst) == n; every byte
-// is written, holes as zeros), split into FUSE-sized requests kept in
-// flight concurrently, mirroring PwriteFrom: each segment lands in its
-// disjoint sub-slice of dst directly. The bounce-buffer charge is
-// unchanged — the kernel crossing still moves the bytes, the simulation
-// just doesn't copy them again. A nil dst simulates the read with
-// identical timing without materializing data.
+// is written, holes as zeros): PreadWant with every byte wanted.
 func (fd *File) PreadInto(p *sim.Proc, off int64, n int64, dst []byte) error {
+	return fd.PreadWant(p, off, n, dst, nil)
+}
+
+// PreadWant reads n bytes at the offset into dst (len(dst) == n), split
+// into FUSE-sized requests kept in flight concurrently, mirroring
+// PwriteFrom: each segment lands in its disjoint sub-slice of dst directly.
+// The bounce-buffer charge is unchanged — the kernel crossing still moves
+// the bytes, the simulation just doesn't copy them again. A nil dst
+// simulates the read with identical timing without materializing data.
+// want lists the file ranges the caller will look at, sorted by offset
+// (nil: every byte). A request none of them touches reads length-only with
+// the same charges and leaves its bytes of dst as they were; the others
+// pass want on to DFS.
+func (fd *File) PreadWant(p *sim.Proc, off int64, n int64, dst []byte, want []daos.Range) error {
 	m := fd.mount
 	var segErr error
 	wg := sim.NewWaitGroup(m.threads.Sim())
+	rest := want
 	var pos int64
 	for pos < n {
 		seg := n - pos
@@ -216,17 +227,21 @@ func (fd *File) PreadInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 		segOff := off + pos
 		var segDst []byte
 		if dst != nil {
-			segDst = dst[pos : pos+seg]
+			var hit bool
+			if rest, hit = daos.Wanted(rest, segOff, seg); hit {
+				segDst = dst[pos : pos+seg]
+			}
 		}
 		segLen := seg
-		wg.Go("fuse-read", func(cp *sim.Proc) {
-			err := m.request(cp, segLen, func(cp *sim.Proc) error {
-				return fd.f.ReadAtInto(cp, segOff, segLen, segDst)
-			})
-			if err != nil && segErr == nil {
-				segErr = err
-			}
-		})
+		// A closure that captured want would grow every segment's
+		// allocation, so only a segment that materializes part of a
+		// want-aware read builds one.
+		if want == nil || segDst == nil {
+			wg.Go("fuse-read", func(cp *sim.Proc) { fd.readSegment(cp, segOff, segLen, segDst, nil, &segErr) })
+		} else {
+			segWant := rest
+			wg.Go("fuse-read", func(cp *sim.Proc) { fd.readSegment(cp, segOff, segLen, segDst, segWant, &segErr) })
+		}
 		pos += seg
 	}
 	wg.Wait(p)
@@ -234,6 +249,17 @@ func (fd *File) PreadInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 		return fmt.Errorf("dfuse: pread: %w", segErr)
 	}
 	return nil
+}
+
+// readSegment serves one FUSE read request of PreadWant, keeping the first
+// failure in *errp.
+func (fd *File) readSegment(p *sim.Proc, off, n int64, dst []byte, want []daos.Range, errp *error) {
+	err := fd.mount.request(p, n, func(p *sim.Proc) error {
+		return fd.f.ReadAtWant(p, off, n, dst, want)
+	})
+	if err != nil && *errp == nil {
+		*errp = err
+	}
 }
 
 // Fsync flushes (a FUSE round trip; DFS itself is already durable).
@@ -249,7 +275,8 @@ func (fd *File) Close(p *sim.Proc) error {
 // Positioned gives a descriptor the positioned-I/O shape of the layers
 // that run over the mount (mpiio.Driver, hdf5.VFD, IOR's files):
 // WriteAtFrom is PwriteFrom without the count, ReadAtInto is PreadInto,
-// Sync is Fsync, and Close is the descriptor's own.
+// ReadAtWant is PreadWant, Sync is Fsync, and Close is the descriptor's
+// own.
 type Positioned struct{ *File }
 
 // WriteAtFrom writes n bytes at the offset from src, as PwriteFrom does.
@@ -261,6 +288,12 @@ func (fd Positioned) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) er
 // ReadAtInto reads n bytes at the offset into dst, as PreadInto does.
 func (fd Positioned) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return fd.PreadInto(p, off, n, dst)
+}
+
+// ReadAtWant reads n bytes at the offset into dst, materializing what want
+// touches, as PreadWant does.
+func (fd Positioned) ReadAtWant(p *sim.Proc, off int64, n int64, dst []byte, want []daos.Range) error {
+	return fd.PreadWant(p, off, n, dst, want)
 }
 
 // Sync flushes the file, as Fsync does.

@@ -164,3 +164,58 @@ func TestThreadPoolContention(t *testing.T) {
 		t.Fatalf("8 writers on 2 threads took %v, solo %v: no queueing visible", eight, one)
 	}
 }
+
+// TestPreadWantTouchedPiecesOnly pins the want-aware pread: into a dirty
+// buffer, PreadWant writes exactly the pieces a wanted range touches, with
+// the file's bytes, and leaves every other byte as it was. A piece is a
+// FUSE request cut at DFS chunk boundaries, since each request passes want
+// on to DFS: reading 4 MiB from 512 KiB, the first request's half in chunk
+// 1 stays untouched. The read makes the dense read's FUSE requests and
+// takes its virtual time.
+func TestPreadWantTouchedPiecesOnly(t *testing.T) {
+	const mib = 1 << 20 // both the FUSE request size and the chunk size
+	const off, n = mib / 2, 4 * mib
+	want := []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*mib - 1000, Len: 2000}}
+	touched := func(abs int64) bool {
+		return (abs >= off && abs < mib) || (abs >= off+2*mib && abs < off+3*mib)
+	}
+	data := make([]byte, off+n)
+	for i := range data {
+		data[i] = byte(i * 31 / 7)
+	}
+	read := func(want []daos.Range) (got []byte, took time.Duration, requests int64) {
+		withMount(t, func(p *sim.Proc, tb *cluster.Testbed, m *dfuse.Mount) {
+			fd, err := m.Open(p, "/want.dat", dfuse.O_CREATE|dfuse.O_RDWR, dfs.CreateOpts{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := fd.Pwrite(p, 0, data); err != nil {
+				t.Error(err)
+				return
+			}
+			got = bytes.Repeat([]byte{0xee}, n)
+			before, start := m.Requests, p.Now()
+			if err := fd.PreadWant(p, off, n, got, want); err != nil {
+				t.Error(err)
+			}
+			took, requests = p.Now()-start, m.Requests-before
+		})
+		return got, took, requests
+	}
+	got, took, requests := read(want)
+	_, dense, denseRequests := read(nil)
+	for i, b := range got {
+		abs := off + int64(i)
+		expect := byte(0xee)
+		if touched(abs) {
+			expect = data[abs]
+		}
+		if b != expect {
+			t.Fatalf("byte at %d = %#x, want %#x (touched: %v)", abs, b, expect, touched(abs))
+		}
+	}
+	if took != dense || requests != denseRequests {
+		t.Fatalf("want-aware pread took %v in %d requests, dense pread %v in %d", took, requests, dense, denseRequests)
+	}
+}

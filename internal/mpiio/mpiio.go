@@ -9,10 +9,13 @@
 package mpiio
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
+	"daosim/internal/daos"
 	"daosim/internal/dfs"
 	"daosim/internal/dfuse"
 	"daosim/internal/mpi"
@@ -22,12 +25,14 @@ import (
 // Driver is the ADIO device abstraction (one open handle per rank), which
 // *dfs.File and dfuse.Positioned satisfy. WriteAtFrom writes n bytes from
 // src (len(src) == n), or — with a nil src — writes length-only with
-// identical timing. ReadAtInto fills dst (len(dst) == n) in place, or —
+// identical timing. ReadAtWant fills dst (len(dst) == n) in place, or —
 // with a nil dst — simulates the read with identical timing while
-// materializing nothing.
+// materializing nothing; with a non-nil want (file ranges sorted by
+// offset) it materializes only the sub-reads they touch, leaving the rest
+// of dst as it was.
 type Driver interface {
 	WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error
-	ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error
+	ReadAtWant(p *sim.Proc, off int64, n int64, dst []byte, want []daos.Range) error
 	Sync(p *sim.Proc) error
 	Close(p *sim.Proc) error
 }
@@ -55,9 +60,11 @@ type File struct {
 	rank  *mpi.Rank
 	drv   Driver
 	hints Hints
-	// readBuf is the aggregator's covering-read buffer, reused across
+	// readBuf is the aggregator's covering-read buffer, and want the
+	// ranges of it that requesters observe; both are reused across
 	// ReadAtAllInto calls and grown only when a call needs more.
 	readBuf []byte
+	want    []daos.Range
 	// worldSizeOverride substitutes for rank.Size() in tests that exercise
 	// domain construction without a live world.
 	worldSizeOverride int
@@ -138,7 +145,7 @@ func (f *File) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 // dst (len(dst) == n; every byte is written). A nil dst simulates the read
 // with identical timing without materializing data.
 func (f *File) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
-	return f.drv.ReadAtInto(p, off, n, dst)
+	return f.drv.ReadAtWant(p, off, n, dst, nil)
 }
 
 // Sync flushes the file.
@@ -302,10 +309,13 @@ func (f *File) writeCoalesced(p *sim.Proc, pieces []*piece) error {
 // their file domains and ship each rank its pieces, which land directly in
 // dst (len(dst) == n; the answered pieces cover every byte). A rank
 // passing a nil dst sends discard-tagged requests: exchanges keep their
-// sizes (the shuffle still ships the bytes in simulated time) and an
-// aggregator whose incoming requests are all discards skips materializing
-// its covering read, so an all-discard collective moves nothing. Every rank
-// must call it (nil dst with n == 0 for zero-length participation).
+// sizes (the shuffle still ships the bytes in simulated time). An
+// aggregator's covering read materializes only the sub-reads that the
+// requests of ranks passing a dst touch, so bytes between requests are
+// never copied and an all-discard collective moves nothing; it fails with
+// vos.ErrNoContent only when a length-only byte lies in a sub-read it
+// materializes. Every rank must call it (nil dst with n == 0 for
+// zero-length participation).
 func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	lo, hi, ok := f.collectiveExtent(p, off, n)
 	if !ok {
@@ -337,21 +347,23 @@ func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error 
 
 	// Aggregators read the covering extent of the requests addressed to
 	// them, then answer each request from that buffer. The covering read
-	// materializes only when some requester observes the bytes; its timing
-	// is identical either way.
+	// materializes only the sub-reads that the observed requests touch;
+	// its timing is identical whatever it materializes.
 	var myReqs []*piece
 	reqFrom := make([]int, 0)
-	materialize := false
+	want := f.want[:0]
 	for _, rcv := range requests {
 		ps := rcv.Val.([]*piece)
 		myReqs = append(myReqs, ps...)
 		for _, rq := range ps {
 			reqFrom = append(reqFrom, rcv.From)
 			if !rq.Discard {
-				materialize = true
+				want = append(want, daos.Range{Off: rq.Off, Len: rq.Len})
 			}
 		}
 	}
+	f.want = want
+	slices.SortFunc(want, func(a, b daos.Range) int { return cmp.Compare(a.Off, b.Off) })
 	answers := make([]interface{}, f.rank.Size())
 	ansSizes := make([]int64, f.rank.Size())
 	if len(myReqs) > 0 {
@@ -369,13 +381,13 @@ func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error 
 		// pass the next collective call's collectiveExtent allreduce, so
 		// one buffer per File serves every call.
 		var buf []byte
-		if materialize {
+		if len(want) > 0 {
 			if int64(cap(f.readBuf)) < rhi-rlo {
 				f.readBuf = make([]byte, rhi-rlo)
 			}
 			buf = f.readBuf[:rhi-rlo]
 		}
-		err := f.drv.ReadAtInto(p, rlo, rhi-rlo, buf)
+		err := f.drv.ReadAtWant(p, rlo, rhi-rlo, buf, want)
 		for i, rq := range myReqs {
 			pc := &piece{Off: rq.Off, Len: rq.Len, Err: err}
 			if !rq.Discard && err == nil {

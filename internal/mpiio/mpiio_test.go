@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"daosim/internal/cluster"
 	"daosim/internal/daos"
@@ -27,13 +28,21 @@ type env struct {
 	nodes  []*fabric.Node
 }
 
-// withEnv boots a small testbed with `ranks` ranks over 2 client nodes.
+// withEnv boots a small testbed with `ranks` ranks over 2 client nodes,
+// rank i on node i%2.
 func withEnv(t *testing.T, ranks int, body func(p *sim.Proc, e *env)) {
+	t.Helper()
+	bootEnv(t, ranks, func(i int) int { return i }, body)
+}
+
+// bootEnv boots a small testbed with `ranks` ranks, rank i on client node
+// node(i) (modulo the testbed's 2).
+func bootEnv(t testing.TB, ranks int, node func(rank int) int, body func(p *sim.Proc, e *env)) {
 	t.Helper()
 	tb := cluster.New(cluster.Small())
 	e := &env{tb: tb}
 	for i := 0; i < ranks; i++ {
-		e.nodes = append(e.nodes, tb.ClientNode(i))
+		e.nodes = append(e.nodes, tb.ClientNode(node(i)))
 	}
 	e.world = mpi.NewWorld(tb.Sim, tb.Fabric, e.nodes)
 	tb.Run(func(p *sim.Proc) {
@@ -293,4 +302,81 @@ func TestCollectiveRejectsMixedRun(t *testing.T) {
 			}
 		})
 	})
+}
+
+// opener opens a shared file collectively over libdfs or over the DFuse
+// mount.
+type opener struct {
+	name string
+	open func(cp *sim.Proc, r *mpi.Rank, e *env, path string, hints mpiio.Hints) (*mpiio.File, error)
+}
+
+var openers = []opener{
+	{"DFS", func(cp *sim.Proc, r *mpi.Rank, e *env, path string, hints mpiio.Hints) (*mpiio.File, error) {
+		return mpiio.OpenDFS(cp, r, e.fs[r.ID()], path, true, dfs.CreateOpts{}, hints)
+	}},
+	{"POSIX", func(cp *sim.Proc, r *mpi.Rank, e *env, path string, hints mpiio.Hints) (*mpiio.File, error) {
+		return mpiio.OpenPOSIX(cp, r, e.mounts[r.ID()], path, true, dfs.CreateOpts{}, hints)
+	}},
+}
+
+// TestCollectiveReadSkipsUnrequestedChunks pins the covering read's
+// wanted ranges: rank r writes a content chunk at 2r MiB and the next
+// chunk length-only, then reads 64 KiB from the middle of its content
+// chunk in one verified collective read, so each aggregator's covering
+// range holds a length-only chunk that no rank requests. The read succeeds
+// with the requested bytes over libdfs and over DFuse (there, the first
+// FUSE request straddles a content chunk and the length-only one, so the
+// wanted ranges must reach DFS), and takes the virtual time of the same
+// read over a file written with content throughout.
+func TestCollectiveReadSkipsUnrequestedChunks(t *testing.T) {
+	const ranks, chunk, size = 4, 1 << 20, 64 << 10
+	run := func(t *testing.T, o opener, lengthOnlyGap bool) (got [][]byte, took []time.Duration) {
+		got, took = make([][]byte, ranks), make([]time.Duration, ranks)
+		withEnv(t, ranks, func(p *sim.Proc, e *env) {
+			e.world.Parallel(p, func(cp *sim.Proc, r *mpi.Rank) {
+				f, err := o.open(cp, r, e, "/sparse.dat", mpiio.DefaultHints(2))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				base := int64(r.ID()) * 2 * chunk
+				gap := pattern(r.ID()+ranks, chunk)
+				if lengthOnlyGap {
+					gap = nil
+				}
+				if err := f.WriteAt(cp, base, pattern(r.ID(), chunk)); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := f.WriteAtFrom(cp, base+chunk, chunk, gap); err != nil {
+					t.Error(err)
+					return
+				}
+				r.Barrier(cp)
+				got[r.ID()] = make([]byte, size)
+				start := cp.Now()
+				if err := f.ReadAtAllInto(cp, base+chunk/2, size, got[r.ID()]); err != nil {
+					t.Errorf("rank %d: collective read: %v", r.ID(), err)
+				}
+				took[r.ID()] = cp.Now() - start
+				f.Close(cp)
+			})
+		})
+		return got, took
+	}
+	for _, o := range openers {
+		t.Run(o.name, func(t *testing.T) {
+			got, took := run(t, o, true)
+			_, dense := run(t, o, false)
+			for r := range got {
+				if want := pattern(r, chunk)[chunk/2 : chunk/2+size]; !bytes.Equal(got[r], want) {
+					t.Errorf("rank %d: collective read returned the wrong bytes", r)
+				}
+				if took[r] != dense[r] {
+					t.Errorf("rank %d: read took %v, %v over an all-content file", r, took[r], dense[r])
+				}
+			}
+		})
+	}
 }

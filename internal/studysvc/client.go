@@ -240,14 +240,16 @@ func transientErr(err error) bool {
 // attempt. A durable batch (the server echoed a batch id) can always be
 // re-attached idempotently; an ephemeral stream can only be safely
 // re-POSTed while nothing has been received, and only for transient
-// transport failures. Non-200s retry only on 503 (draining/restarting).
+// transport failures. Non-200s retry on 503 (draining/restarting), and on
+// a 404 to a resume: the server lost the batch, which Submit then POSTs
+// again under its id.
 func (c *Client) shouldRetry(ctx context.Context, err error, batch string, received int) bool {
 	if ctx.Err() != nil {
 		return false
 	}
 	var se *statusError
 	if errors.As(err, &se) {
-		return se.code == http.StatusServiceUnavailable
+		return se.code == http.StatusServiceUnavailable || (batch != "" && se.code == http.StatusNotFound)
 	}
 	if batch != "" {
 		return true
@@ -319,8 +321,9 @@ func slotter(jobs []core.PointJob, grid string) func(sp StreamPoint) (int, error
 // id is known, or a GET resume from the last received offset once the
 // server has echoed one. It consumes the stream through fill and returns
 // the trailer; any failure leaves *batch and the fill state ready for
-// the caller's retry decision.
-func (c *Client) exchange(ctx context.Context, cfgs []core.Config, batchID string, batch *string, lastSeq, received int, fill func(StreamPoint) error) (Trailer, error) {
+// the caller's retry decision. A stream carries the batch's points from
+// seq lastSeq+1 on (seqs are dense), so a POST's carries every point.
+func (c *Client) exchange(ctx context.Context, cfgs []core.Config, batchID string, batch *string, lastSeq int, fill func(StreamPoint) error) (Trailer, error) {
 	var body io.ReadCloser
 	var err error
 	if *batch == "" {
@@ -345,7 +348,7 @@ func (c *Client) exchange(ctx context.Context, cfgs []core.Config, batchID strin
 	if h.Batch != "" {
 		*batch = h.Batch
 	}
-	return consumePoints(dec, len(jobs)-received, fill)
+	return consumePoints(dec, len(jobs)-lastSeq, fill)
 }
 
 // Submit posts the batch and consumes the result stream. The returned
@@ -362,9 +365,12 @@ func (c *Client) exchange(ctx context.Context, cfgs []core.Config, batchID strin
 // last received sequence offset instead of being an error — the points
 // already received are kept and only the missing tail is re-fetched, so
 // the reassembled studies are identical to an uninterrupted exchange.
-// Against a storeless server a stream severed mid-batch (server crash,
-// connection reset, missing trailer) remains a permanent error naming
-// how many points arrived.
+// A resume answered 404 means the server restarted without the batch's
+// journal: Submit POSTs the batch again under its id, keeps the points it
+// already holds, and skips them when the new stream re-sends them (points
+// are deterministic). Against a storeless server a stream severed
+// mid-batch (server crash, connection reset, missing trailer) remains a
+// permanent error naming how many points arrived.
 func (c *Client) Submit(ctx context.Context, cfgs []core.Config) ([]*core.Study, error) {
 	if len(cfgs) == 0 {
 		// Mirror core.Runner.RunAll(nil) without a round trip; the server
@@ -384,15 +390,21 @@ func (c *Client) Submit(ctx context.Context, cfgs []core.Config) ([]*core.Study,
 	// Header arrived can be re-POSTed idempotently: the server re-attaches
 	// to the batch it already opened instead of scheduling a duplicate.
 	batchID := newBatchID()
-	place := slotter(jobs, "batch grid")
+	place := slotter(jobs, "batch grid") // one per stream numbering
+	filled := make([]bool, len(jobs))
 	fill := func(sp StreamPoint) error {
-		if _, err := place(sp); err != nil {
+		i, err := place(sp)
+		if err != nil {
 			return err
 		}
-		received++
 		if sp.Seq > lastSeq {
 			lastSeq = sp.Seq
 		}
+		if filled[i] {
+			return nil // re-sent after a re-POST
+		}
+		filled[i] = true
+		received++
 		studies[sp.Study].Series[sp.Series].Points[sp.Index] = sp.toPoint()
 		if c.OnPoint != nil {
 			c.OnPoint(sp)
@@ -404,7 +416,7 @@ func (c *Client) Submit(ctx context.Context, cfgs []core.Config) ([]*core.Study,
 	attempt := 0
 	for {
 		before := received
-		tr, err := c.exchange(ctx, cfgs, batchID, &batch, lastSeq, received, fill)
+		tr, err := c.exchange(ctx, cfgs, batchID, &batch, lastSeq, fill)
 		if err == nil {
 			t = tr
 			break
@@ -417,6 +429,11 @@ func (c *Client) Submit(ctx context.Context, cfgs []core.Config) ([]*core.Study,
 		attempt++
 		if attempt >= c.RetryAttempts || !c.shouldRetry(ctx, err, batch, received) {
 			return nil, err
+		}
+		var se *statusError
+		if errors.As(err, &se) && se.code == http.StatusNotFound {
+			// The resume found no batch: POST it again, numbered afresh.
+			batch, lastSeq, place = "", 0, slotter(jobs, "batch grid")
 		}
 		wait := c.Retry.Wait(attempt)
 		if c.OnRetry != nil {

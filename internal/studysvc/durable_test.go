@@ -404,6 +404,128 @@ func TestKillRestartResume(t *testing.T) {
 	}
 }
 
+// TestResumeLostBatchRePosts: a daosd killed mid-batch and restarted on
+// an empty job store answers the client's resume with 404. The client
+// must POST the batch again under its id, keep the points it already
+// holds, skip them when the new stream re-sends them, and assemble output
+// byte-identical to an uninterrupted run.
+func TestResumeLostBatchRePosts(t *testing.T) {
+	cfgs := durableConfigs()
+	_, jobs := core.Decompose(cfgs)
+	total, before := len(jobs), len(jobs)/3
+	if before == 0 {
+		t.Fatalf("grid too small: %d points", total)
+	}
+	_, refTS := startServer(t, Config{Workers: 2, NewWorker: func() Worker { return stubWorker{} }})
+	ref, err := NewClient(refTS.URL).Submit(context.Background(), cfgs)
+	if err != nil {
+		t.Fatalf("reference Submit: %v", err)
+	}
+
+	store1 := openStore(t, t.TempDir())
+	var runs1, runs2 atomic.Int64
+	gate1 := make(chan struct{}, total)
+	var gate1Once sync.Once
+	releaseAll1 := func() { gate1Once.Do(func() { close(gate1) }) }
+	srv1 := New(Config{
+		Workers:   1,
+		NewWorker: func() Worker { return gatedWorker{gate: gate1, runs: &runs1} },
+		Store:     store1,
+	})
+	defer srv1.Close()
+	defer releaseAll1()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	hs1 := &http.Server{Handler: srv1}
+	go hs1.Serve(ln)
+
+	client := NewClient(addr)
+	client.Retry = backoff.Schedule{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond}
+	client.RetryAttempts = 50 // ride out the restart gap generously
+	var mu sync.Mutex
+	seen := make(map[[3]int]int)
+	var notFound atomic.Int64
+	client.OnPoint = func(sp StreamPoint) {
+		mu.Lock()
+		seen[[3]int{sp.Study, sp.Series, sp.Index}]++
+		mu.Unlock()
+	}
+	client.OnRetry = func(_ int, _ time.Duration, err error) {
+		var se *statusError
+		if errors.As(err, &se) && se.code == http.StatusNotFound {
+			notFound.Add(1)
+		}
+	}
+	type result struct {
+		studies []*core.Study
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		studies, err := client.Submit(context.Background(), cfgs)
+		done <- result{studies, err}
+	}()
+	for i := 0; i < before; i++ {
+		gate1 <- struct{}{}
+	}
+	waitFor(t, fmt.Sprintf("%d points at the client before the kill", before), func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) >= before
+	})
+	srv1.kill()
+	hs1.Close()
+	store1.Close()
+
+	// Restart on the same address with an empty job store: the batch is
+	// gone.
+	store2 := openStore(t, t.TempDir())
+	defer store2.Close()
+	srv2 := New(Config{
+		Workers:   2,
+		NewWorker: func() Worker { return gatedWorker{gate: closedGate(), runs: &runs2} },
+		Store:     store2,
+	})
+	defer srv2.Close()
+	ln2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	hs2 := &http.Server{Handler: srv2}
+	go hs2.Serve(ln2)
+	defer hs2.Close()
+
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("Submit after the batch was lost: %v", res.err)
+	}
+	if notFound.Load() == 0 {
+		t.Fatal("Submit completed without a 404 resume: the restarted server never lost the batch")
+	}
+	if got := runs2.Load(); got != int64(total) {
+		t.Fatalf("restarted server ran %d points, want the whole batch of %d", got, total)
+	}
+	for slot, n := range seen {
+		if n != 1 {
+			t.Fatalf("point %v reached OnPoint %d times, want once", slot, n)
+		}
+	}
+	verifyStubStudies(t, cfgs, res.studies)
+	if got, want := render(res.studies), render(ref); got != want {
+		t.Fatalf("re-POSTed run renders differently from the uninterrupted run:\n got: %q\nwant: %q", got, want)
+	}
+}
+
+// closedGate returns a gate that lets every point through.
+func closedGate() <-chan struct{} {
+	gate := make(chan struct{})
+	close(gate)
+	return gate
+}
+
 // TestCloseNeverJournalsCancellations is the drain regression test: a
 // graceful Close at a random instant mid-batch must not journal the
 // placeholder results of the points it interrupted ("submission canceled
@@ -567,7 +689,8 @@ func TestRetryClassification(t *testing.T) {
 		{"caller canceled", canceled, wrap(context.Canceled), "", 0, false},
 		{"rejected 400", ctx, &statusError{code: 400, msg: "bad"}, "", 0, false},
 		{"draining 503", ctx, &statusError{code: 503, msg: "draining"}, "", 0, true},
-		{"resume 404", ctx, &statusError{code: 404, msg: "unknown batch"}, "b1", 3, false},
+		{"resume 404", ctx, &statusError{code: 404, msg: "unknown batch"}, "b1", 3, true},
+		{"submit 404", ctx, &statusError{code: 404, msg: "not found"}, "", 0, false},
 		{"ephemeral mid-stream loss", ctx, errors.New("stream truncated after 3/9 points: unexpected EOF"), "", 3, false},
 		{"durable mid-stream loss", ctx, fmt.Errorf("stream truncated after 3/9 points: %w", io.ErrUnexpectedEOF), "b1", 3, true},
 	}

@@ -45,9 +45,10 @@ import (
 // works across a server crash: the restarted daosd replays its journal,
 // re-enqueues only the points that never finished, and serves the rest
 // from the store. Resuming an unknown batch (no journal, or already
-// fully delivered and retired) is a 404, which clients treat as
-// permanent. Re-POSTing a batch id the server already knows is
-// idempotent: it re-attaches from seq 0 instead of re-scheduling.
+// fully delivered and retired) is a 404, on which clients POST the batch
+// again under its id and skip the points they already hold. Re-POSTing a
+// batch id the server already knows is idempotent: it re-attaches from
+// seq 0 instead of re-scheduling.
 // Storeless servers omit "batch" from the Header; clients fall back to
 // the truncation-is-an-error contract above.
 //

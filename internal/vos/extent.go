@@ -123,7 +123,8 @@ func (t *ExtentTree) Read(offset int64, length int, epoch Epoch) ([]byte, int64,
 // and cost are byte-identical to the materializing call, and which never
 // fails. The return value is Read's covered-prefix length; like Read, a
 // non-nil dst fails with ErrNoContent when a length-only extent supplies
-// any visible byte. Steady-state calls allocate nothing.
+// any visible byte. Only the holes are cleared: the overlay rewrites every
+// byte a visible extent covers. Steady-state calls allocate nothing.
 func (t *ExtentTree) ReadInto(dst []byte, offset int64, length int, epoch Epoch) (int64, error) {
 	if dst != nil && len(dst) != length {
 		panic("vos: ReadInto dst length mismatch")
@@ -133,19 +134,24 @@ func (t *ExtentTree) ReadInto(dst []byte, offset int64, length int, epoch Epoch)
 	if dst == nil {
 		return covered, nil
 	}
-	// A range fully covered by one extent needs no pre-zeroing: the copy
-	// overwrites every destination byte.
-	if len(overlapping) == 1 {
-		if e := overlapping[0]; e.Offset <= offset && e.End() >= end {
-			if e.Data == nil {
-				return covered, ErrNoContent
-			}
-			copy(dst, e.Data[offset-e.Offset:end-e.Offset])
-			return covered, nil
-		}
-	}
-	clear(dst)
+	clearHoles(dst, overlapping, offset, end)
 	return covered, t.overlay(dst, overlapping, offset, end)
+}
+
+// clearHoles zeroes the bytes of buf (whose origin is offset) that no
+// extent of overlapping, in offset order, covers: the gaps of the same
+// interval walk that finds visible's covered prefix.
+func clearHoles(buf []byte, overlapping []Extent, offset, end int64) {
+	frontier := offset
+	for _, e := range overlapping {
+		if e.Offset > frontier {
+			clear(buf[frontier-offset : e.Offset-offset])
+		}
+		frontier = max(frontier, e.End())
+	}
+	if frontier < end {
+		clear(buf[frontier-offset:])
+	}
 }
 
 // visible collects the extents overlapping [offset, end) that are visible at
