@@ -129,9 +129,11 @@ func NewOn(s *sim.Sim, cfg Config) *Testbed {
 
 // --- daos.Registry implementation ---
 
-// EngineNode returns the fabric node hosting engine id.
-func (tb *Testbed) EngineNode(id int) *fabric.Node {
-	return tb.Engines[id].Node()
+// EngineNode returns the fabric node hosting engine id and the name of the
+// engine's object service there.
+func (tb *Testbed) EngineNode(id int) (*fabric.Node, string) {
+	e := tb.Engines[id]
+	return e.Node(), e.Service()
 }
 
 // PoolMap returns the shared cluster pool map.

@@ -86,18 +86,32 @@ func (a *Array) WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error {
 // Range is the byte range [Off, Off+Len) of an array or a file.
 type Range struct{ Off, Len int64 }
 
-// Wanted reports whether [off, off+n) meets a range of want, a list sorted
-// by offset in which nil stands for every byte, and returns want less the
-// ranges that end at or before off, so a read that visits its sub-reads in
-// ascending order walks want once.
-func Wanted(want []Range, off, n int64) ([]Range, bool) {
+// Wanted returns [lo, hi), the hull of want's bytes in [off, off+n), where
+// want is a list sorted by offset in which nil stands for every byte; lo
+// equals hi when no range of want meets [off, off+n). It also returns want
+// less the ranges that end at or before off, so a read that visits its
+// sub-reads in ascending order walks want once.
+func Wanted(want []Range, off, n int64) (rest []Range, lo, hi int64) {
+	end := off + n
 	if want == nil {
-		return nil, true
+		return nil, off, end
 	}
 	for len(want) > 0 && want[0].Off+want[0].Len <= off {
 		want = want[1:]
 	}
-	return want, len(want) > 0 && want[0].Off < off+n
+	lo, hi = end, off
+	for _, r := range want {
+		if r.Off >= end {
+			break
+		}
+		if r.Off+r.Len > off {
+			lo, hi = min(lo, max(r.Off, off)), max(hi, min(r.Off+r.Len, end))
+		}
+	}
+	if lo >= hi {
+		return want, off, off
+	}
+	return want, lo, hi
 }
 
 // ReadAtInto fetches n bytes at the byte offset, which must not be
@@ -115,9 +129,11 @@ func (a *Array) ReadAtInto(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst
 // their shard read as zeros. A nil dst simulates the read — identical RPCs,
 // identical timing — without materializing any bytes. want lists the
 // ranges of the array the caller will look at, sorted by offset (nil: every
-// byte): a chunk span none of them touches is read length-only with the
-// same timing, its bytes of dst are left as they were, and it never fails
-// with vos.ErrNoContent.
+// byte): a chunk span materializes only the hull of the wanted bytes in it
+// (engine.ReadExt.At places it), one no wanted range touches is read
+// length-only, and every span keeps its timing. The other bytes of dst are
+// left as they were, and only a byte in a hull can fail the read with
+// vos.ErrNoContent.
 func (a *Array) ReadAtWant(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst []byte, want []Range) error {
 	if off < 0 {
 		return fmt.Errorf("daos: array read at negative offset %d", off)
@@ -138,9 +154,9 @@ func (a *Array) ReadAtWant(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst
 			Length: int(l),
 		}
 		if dst != nil {
-			var hit bool
-			if want, hit = Wanted(want, off+done, l); hit {
-				rd.Dst = dst[done : done+l]
+			var lo, hi int64
+			if want, lo, hi = Wanted(want, off+done, l); lo < hi {
+				rd.At, rd.Dst = lo-(off+done), dst[lo-off:hi-off]
 			}
 		}
 		reads = append(reads, rd)
@@ -151,8 +167,8 @@ func (a *Array) ReadAtWant(p *sim.Proc, off int64, n int64, epoch vos.Epoch, dst
 		return err
 	}
 	// A nil entry is a chunk absent on its shard (never written): its span
-	// is a hole, and holes read as zeros even into reused buffers. A
-	// length-only read has no Dst to clear.
+	// is a hole, and holes read as zeros even into reused buffers. Only the
+	// hull a Dst takes is cleared; a length-only read has no Dst to clear.
 	for i, rd := range reads {
 		if data[i] == nil {
 			clear(rd.Dst)

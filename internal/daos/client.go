@@ -47,8 +47,9 @@ func DefaultCosts() Costs {
 // Registry resolves cluster topology for the client: which fabric node
 // hosts which engine, and the shared pool map.
 type Registry interface {
-	// EngineNode returns the fabric node hosting engine id.
-	EngineNode(id int) *fabric.Node
+	// EngineNode returns the fabric node hosting engine id and the name of
+	// the engine's object service there.
+	EngineNode(id int) (*fabric.Node, string)
 	// PoolMap returns the cluster's (shared, versioned) pool map.
 	PoolMap() *placement.PoolMap
 	// TargetsPerEngine returns the target count per engine.
@@ -248,8 +249,8 @@ func (o *Object) shardForDkey(dk []byte) int {
 func (o *Object) call(p *sim.Proc, targetID int, body interface{}) fabric.Response {
 	c := o.cont.Pool.client
 	engineID := targetID / c.registry.TargetsPerEngine()
-	dst := c.registry.EngineNode(engineID)
-	return c.fab.Call(p, c.node, dst, engine.ServiceName(engineID), fabric.Request{
+	dst, service := c.registry.EngineNode(engineID)
+	return c.fab.Call(p, c.node, dst, service, fabric.Request{
 		Body: body,
 		Size: engine.RequestSize(body),
 	})

@@ -454,57 +454,97 @@ func TestOIDAllocationUnique(t *testing.T) {
 }
 
 // TestArrayReadAtWantTouchedSpansOnly pins the want-aware read: into a
-// dirty buffer, ReadAtWant writes exactly the chunk spans a wanted range
-// touches, with the array's bytes, leaves every other byte as it was, and
-// takes the virtual time of the dense read of the same window.
+// dirty buffer, ReadAtWant writes exactly the hull of the wanted bytes in
+// each chunk span a wanted range touches, with the array's bytes (zeros in
+// a chunk never written), leaves every other byte as it was, and takes the
+// virtual time of the dense read of the same window.
 func TestArrayReadAtWantTouchedSpansOnly(t *testing.T) {
 	const chunk = 1 << 20 // cluster.Small container chunk size
 	const off, n = chunk / 2, 4 * chunk
-	want := []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*chunk - 1000, Len: 2000}}
-	// The spans of [off, off+n) those ranges touch: the rest of chunk 0,
-	// and chunks 2 and 3, which the second range straddles.
-	touched := func(abs int64) bool { return abs < chunk || (abs >= 2*chunk && abs < 4*chunk) }
-	data := make([]byte, off+n)
-	for i := range data {
-		data[i] = byte(i * 31 / 7)
+	cases := []struct {
+		name    string
+		written int64        // the array's bytes: [0, written)
+		want    []daos.Range // what the caller asks for, sorted
+		hulls   []daos.Range // what lands in the buffer
+	}{
+		{
+			// The second range straddles chunks 2 and 3: each span takes
+			// its part.
+			name: "straddling", written: off + n,
+			want:  []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*chunk - 1000, Len: 2000}},
+			hulls: []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*chunk - 1000, Len: 2000}},
+		},
+		{
+			// Two disjoint ranges in chunk 1 take the bytes between them.
+			name: "two ranges in one chunk", written: off + n,
+			want:  []daos.Range{{Off: chunk + 100, Len: 50}, {Off: chunk + 4096, Len: 8192}, {Off: 4*chunk + 10, Len: 5}},
+			hulls: []daos.Range{{Off: chunk + 100, Len: 4096 + 8192 - 100}, {Off: 4*chunk + 10, Len: 5}},
+		},
+		{
+			// Chunk 3 was never written: its hull reads as zeros.
+			name: "hole", written: 2 * chunk,
+			want:  []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*chunk + 10, Len: 5}},
+			hulls: []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*chunk + 10, Len: 5}},
+		},
 	}
-	read := func(want []daos.Range) (got []byte, took time.Duration) {
-		withContainer(t, placement.S2, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
-			arr, err := ct.OpenArray(p, ct.AllocOID(placement.S2))
-			if err != nil {
-				t.Error(err)
-				return
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := make([]byte, tc.written)
+			for i := range data {
+				data[i] = byte(i * 31 / 7)
 			}
-			if arr.ChunkSize != chunk {
-				t.Errorf("chunk size = %d, test geometry assumes %d", arr.ChunkSize, chunk)
-				return
+			read := func(want []daos.Range) (got []byte, took time.Duration) {
+				withContainer(t, placement.S2, func(p *sim.Proc, tb *cluster.Testbed, ct *daos.Container) {
+					arr, err := ct.OpenArray(p, ct.AllocOID(placement.S2))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if arr.ChunkSize != chunk {
+						t.Errorf("chunk size = %d, test geometry assumes %d", arr.ChunkSize, chunk)
+						return
+					}
+					if err := arr.Write(p, 0, data); err != nil {
+						t.Error(err)
+						return
+					}
+					got = bytes.Repeat([]byte{0xee}, n)
+					start := p.Now()
+					if err := arr.ReadAtWant(p, off, n, 0, got, want); err != nil {
+						t.Error(err)
+					}
+					took = p.Now() - start
+				})
+				return got, took
 			}
-			if err := arr.Write(p, 0, data); err != nil {
-				t.Error(err)
-				return
+			got, took := read(tc.want)
+			_, dense := read(nil)
+			for i, b := range got {
+				abs := off + int64(i)
+				expect := byte(0xee)
+				if inRanges(tc.hulls, abs) {
+					expect = 0
+					if abs < tc.written {
+						expect = data[abs]
+					}
+				}
+				if b != expect {
+					t.Fatalf("byte at %d = %#x, want %#x (in a hull: %v)", abs, b, expect, inRanges(tc.hulls, abs))
+				}
 			}
-			got = bytes.Repeat([]byte{0xee}, n)
-			start := p.Now()
-			if err := arr.ReadAtWant(p, off, n, 0, got, want); err != nil {
-				t.Error(err)
+			if took != dense {
+				t.Fatalf("want-aware read took %v, dense read %v", took, dense)
 			}
-			took = p.Now() - start
 		})
-		return got, took
 	}
-	got, took := read(want)
-	_, dense := read(nil)
-	for i, b := range got {
-		abs := off + int64(i)
-		expect := byte(0xee)
-		if touched(abs) {
-			expect = data[abs]
-		}
-		if b != expect {
-			t.Fatalf("byte at %d = %#x, want %#x (touched: %v)", abs, b, expect, touched(abs))
+}
+
+// inRanges reports whether abs lies in one of rs.
+func inRanges(rs []daos.Range, abs int64) bool {
+	for _, r := range rs {
+		if abs >= r.Off && abs < r.Off+r.Len {
+			return true
 		}
 	}
-	if took != dense {
-		t.Fatalf("want-aware read took %v, dense read %v", took, dense)
-	}
+	return false
 }

@@ -431,8 +431,8 @@ func (f *File) ReadAtInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	return f.ReadAtWant(p, off, n, dst, nil)
 }
 
-// ReadAtWant is ReadAtInto that materializes only the chunk spans a range
-// of want touches, as daos.Array.ReadAtWant does; the other bytes of dst
+// ReadAtWant is ReadAtInto that materializes only the hull of want's bytes
+// in each chunk span, as daos.Array.ReadAtWant does; the other bytes of dst
 // are left as they were.
 func (f *File) ReadAtWant(p *sim.Proc, off int64, n int64, dst []byte, want []daos.Range) error {
 	return f.arr.ReadAtWant(p, off, n, 0, dst, want)

@@ -227,8 +227,8 @@ func (fd *File) PreadWant(p *sim.Proc, off int64, n int64, dst []byte, want []da
 		segOff := off + pos
 		var segDst []byte
 		if dst != nil {
-			var hit bool
-			if rest, hit = daos.Wanted(rest, segOff, seg); hit {
+			var lo, hi int64
+			if rest, lo, hi = daos.Wanted(rest, segOff, seg); lo < hi {
 				segDst = dst[pos : pos+seg]
 			}
 		}

@@ -166,18 +166,37 @@ func TestThreadPoolContention(t *testing.T) {
 }
 
 // TestPreadWantTouchedPiecesOnly pins the want-aware pread: into a dirty
-// buffer, PreadWant writes exactly the pieces a wanted range touches, with
-// the file's bytes, and leaves every other byte as it was. A piece is a
-// FUSE request cut at DFS chunk boundaries, since each request passes want
-// on to DFS: reading 4 MiB from 512 KiB, the first request's half in chunk
-// 1 stays untouched. The read makes the dense read's FUSE requests and
-// takes its virtual time.
+// buffer, PreadWant writes exactly the hull of the wanted bytes in each
+// piece a wanted range touches, with the file's bytes, and leaves every
+// other byte as it was. A piece is a FUSE request cut at DFS chunk
+// boundaries, since each request passes want on to DFS: reading 4 MiB from
+// 512 KiB, the requests start at 512 KiB plus whole MiBs and the chunks at
+// whole MiBs, so two ranges in one chunk but in two requests keep the
+// bytes between them untouched. The read makes the dense read's FUSE
+// requests and takes its virtual time.
 func TestPreadWantTouchedPiecesOnly(t *testing.T) {
 	const mib = 1 << 20 // both the FUSE request size and the chunk size
 	const off, n = mib / 2, 4 * mib
-	want := []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*mib - 1000, Len: 2000}}
-	touched := func(abs int64) bool {
-		return (abs >= off && abs < mib) || (abs >= off+2*mib && abs < off+3*mib)
+	cases := []struct {
+		name  string
+		want  []daos.Range // what the caller asks for, sorted
+		hulls []daos.Range // what lands in the buffer
+	}{
+		{
+			name:  "straddling",
+			want:  []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*mib - 1000, Len: 2000}},
+			hulls: []daos.Range{{Off: 600 << 10, Len: 100 << 10}, {Off: 3*mib - 1000, Len: 2000}},
+		},
+		{
+			// Piece [2.5, 3) MiB holds two ranges and takes the bytes
+			// between them; the pair around 1.5 MiB is cut by a request
+			// boundary into two pieces, which do not.
+			name: "two ranges in one chunk",
+			want: []daos.Range{{Off: 3*mib/2 - 1000, Len: 10}, {Off: 3*mib/2 + 1000, Len: 10},
+				{Off: 5*mib/2 + 100, Len: 50}, {Off: 5*mib/2 + 4096, Len: 8192}},
+			hulls: []daos.Range{{Off: 3*mib/2 - 1000, Len: 10}, {Off: 3*mib/2 + 1000, Len: 10},
+				{Off: 5*mib/2 + 100, Len: 4096 + 8192 - 100}},
+		},
 	}
 	data := make([]byte, off+n)
 	for i := range data {
@@ -203,19 +222,27 @@ func TestPreadWantTouchedPiecesOnly(t *testing.T) {
 		})
 		return got, took, requests
 	}
-	got, took, requests := read(want)
 	_, dense, denseRequests := read(nil)
-	for i, b := range got {
-		abs := off + int64(i)
-		expect := byte(0xee)
-		if touched(abs) {
-			expect = data[abs]
-		}
-		if b != expect {
-			t.Fatalf("byte at %d = %#x, want %#x (touched: %v)", abs, b, expect, touched(abs))
-		}
-	}
-	if took != dense || requests != denseRequests {
-		t.Fatalf("want-aware pread took %v in %d requests, dense pread %v in %d", took, requests, dense, denseRequests)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, took, requests := read(tc.want)
+			for i, b := range got {
+				abs := off + int64(i)
+				in := false
+				for _, h := range tc.hulls {
+					in = in || (abs >= h.Off && abs < h.Off+h.Len)
+				}
+				expect := byte(0xee)
+				if in {
+					expect = data[abs]
+				}
+				if b != expect {
+					t.Fatalf("byte at %d = %#x, want %#x (in a hull: %v)", abs, b, expect, in)
+				}
+			}
+			if took != dense || requests != denseRequests {
+				t.Fatalf("want-aware pread took %v in %d requests, dense pread %v in %d", took, requests, dense, denseRequests)
+			}
+		})
 	}
 }

@@ -71,6 +71,9 @@ type Engine struct {
 	targets []*target
 	epoch   vos.Epoch
 	down    bool
+	// service is ServiceName(cfg.ID), built once: every object RPC to the
+	// engine names it.
+	service string
 
 	// RPCs counts object RPCs served.
 	RPCs int64
@@ -98,10 +101,11 @@ func New(s *sim.Sim, node *fabric.Node, cfg Config) *Engine {
 		panic("engine: target count must be positive")
 	}
 	e := &Engine{
-		cfg:    cfg,
-		sim:    s,
-		node:   node,
-		device: media.NewDevice(s, cfg.Media),
+		cfg:     cfg,
+		sim:     s,
+		node:    node,
+		device:  media.NewDevice(s, cfg.Media),
+		service: ServiceName(cfg.ID),
 	}
 	for t := 0; t < cfg.Targets; t++ {
 		e.targets = append(e.targets, &target{
@@ -109,7 +113,7 @@ func New(s *sim.Sim, node *fabric.Node, cfg Config) *Engine {
 			conts:   make(map[string]*vos.Container),
 		})
 	}
-	node.Register(ServiceName(cfg.ID), e.handle)
+	node.Register(e.service, e.handle)
 	return e
 }
 
@@ -118,6 +122,10 @@ func (e *Engine) ID() int { return e.cfg.ID }
 
 // Node returns the fabric node hosting this engine.
 func (e *Engine) Node() *fabric.Node { return e.node }
+
+// Service returns the name of the engine's object service on its node,
+// ServiceName(ID()).
+func (e *Engine) Service() string { return e.service }
 
 // Device returns the engine's SCM media device (for reporting).
 func (e *Engine) Device() *media.Device { return e.device }
@@ -200,18 +208,24 @@ func (w *WriteExt) length() int64 {
 // the identical visibility walk and charges identical time but moves no
 // bytes (reads whose content nobody observes). Dst does not contribute to
 // the request's wire size: it describes where data lands, not what is sent.
+// A Dst may take only part of the extent, at At: the engine still reads and
+// charges all Length bytes, and materializes only those the caller wants.
 type ReadExt struct {
 	Dkey, Akey []byte
 	Offset     int64
 	Length     int
 	Single     bool
-	// Dst, when non-nil, receives the extent's bytes (len(Dst) must equal
-	// Length); nil reads length-only. Array reads only.
-	Dst []byte
 	// Discard is ignored.
 	//
 	// Deprecated: a nil Dst already reads without materializing data.
 	Discard bool
+	// At places a non-nil Dst in the extent: Dst receives the bytes
+	// [Offset+At, Offset+At+len(Dst)), which must lie within
+	// [Offset, Offset+Length). Array reads only.
+	At int64
+	// Dst, when non-nil, receives len(Dst) of the extent's bytes, at At;
+	// nil reads length-only. Array reads only.
+	Dst []byte
 }
 
 // UpdateReq writes a batch of extents to one object shard on one target.
@@ -375,11 +389,13 @@ func (e *Engine) handleFetch(p *sim.Proc, r *FetchReq) fabric.Response {
 	}
 	// Timing and wire accounting depend only on each read's length and
 	// whether its akey is present — never on materialized buffers — so a
-	// read with a nil Dst charges exactly what one with a Dst charges: a
-	// present array read contributes Length to device bytes and response
-	// size whether its bytes land in the caller's span or nowhere. A
-	// present extent answers with its Dst (nil when it had none), an absent
-	// one with nil.
+	// read with a nil Dst, or a Dst that takes part of the extent, charges
+	// exactly what one whose Dst takes all of it charges: a present array
+	// read contributes Length to device bytes and response size whether its
+	// bytes land in the caller's span or nowhere. Only the bytes a Dst takes
+	// are materialized, so only those can fail the read with
+	// vos.ErrNoContent. A present extent answers with its Dst (nil when it
+	// had none), an absent one with nil.
 	resp := &FetchResp{Data: make([][]byte, len(r.Reads))}
 	var bytes int64
 	size := int64(64)
@@ -399,7 +415,15 @@ func (e *Engine) handleFetch(p *sim.Proc, r *FetchReq) fabric.Response {
 			size += int64(len(v))
 			continue
 		}
-		if err := cont.FetchArrayInto(r.OID, rd.Dkey, rd.Akey, epoch, rd.Offset, rd.Length, rd.Dst); err != nil {
+		off, n := rd.Offset, rd.Length
+		if rd.Dst != nil {
+			if rd.At < 0 || rd.At > int64(rd.Length-len(rd.Dst)) {
+				return fabric.Response{Err: fmt.Errorf("engine: %d-byte destination at %d outside a %d-byte read",
+					len(rd.Dst), rd.At, rd.Length), Size: 64}
+			}
+			off, n = rd.Offset+rd.At, len(rd.Dst)
+		}
+		if err := cont.FetchArrayInto(r.OID, rd.Dkey, rd.Akey, epoch, off, n, rd.Dst); err != nil {
 			if errors.Is(err, vos.ErrNotFound) {
 				continue
 			}

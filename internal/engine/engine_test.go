@@ -127,6 +127,90 @@ func TestNilDstFetchChargesLikeDst(t *testing.T) {
 	}
 }
 
+// TestPartialDstChargesFullRead pins ReadExt.At: a Dst that takes the
+// bytes [At, At+len(Dst)) of an array read receives exactly those, and the
+// read charges the virtual time, device bytes and response size of the
+// full-length read. It fails with vos.ErrNoContent only when a byte of a
+// length-only extent lies in that range, and a Dst outside the read fails.
+func TestPartialDstChargesFullRead(t *testing.T) {
+	const n = 8192
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	type charge struct {
+		took         time.Duration
+		device, size int64
+	}
+	// fetch writes data over [0, n) of chunk 0, then, with lengthOnly, a
+	// length-only extent over [6000, 7000) on top, and reads all n bytes
+	// with a Dst of m bytes at at.
+	fetch := func(lengthOnly bool, at int64, m int) ([]byte, fabric.Response, charge) {
+		r := newRig()
+		writes := []WriteExt{{Dkey: ChunkDkey(0), Akey: []byte("data"), Data: data}}
+		if lengthOnly {
+			writes = append(writes, WriteExt{Dkey: ChunkDkey(0), Akey: []byte("data"), Offset: 6000, Len: 1000})
+		}
+		for _, w := range writes {
+			if resp := r.call(t, &UpdateReq{Cont: "c0", OID: rigOID, Target: 3, Writes: []WriteExt{w}}); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+		}
+		dst := bytes.Repeat([]byte{0xee}, m)
+		start, before := r.sim.Now(), r.eng.Device().ReadBytes
+		resp := r.call(t, &FetchReq{
+			Cont: "c0", OID: rigOID, Target: 3,
+			Reads: []ReadExt{{Dkey: ChunkDkey(0), Akey: []byte("data"), Length: n, At: at, Dst: dst}},
+		})
+		return dst, resp, charge{r.sim.Now() - start, r.eng.Device().ReadBytes - before, resp.Size}
+	}
+	got, resp, full := fetch(false, 0, n)
+	if resp.Err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("full-length read: err %v, bytes match %v", resp.Err, bytes.Equal(got, data))
+	}
+	for _, tc := range []struct {
+		lengthOnly bool
+		at         int64
+		m          int
+		noContent  bool
+	}{
+		{false, 0, 4096, false},
+		{false, 1024, 2048, false},
+		{false, n - 1, 1, false},
+		{true, 0, 6000, false},
+		{true, 7000, n - 7000, false},
+		{true, 5999, 2, true},
+		{true, 6999, 1, true},
+		{true, 0, n, true},
+	} {
+		got, resp, c := fetch(tc.lengthOnly, tc.at, tc.m)
+		if tc.noContent {
+			if !errors.Is(resp.Err, vos.ErrNoContent) {
+				t.Errorf("%+v: err = %v, want vos.ErrNoContent", tc, resp.Err)
+			}
+			continue
+		}
+		if resp.Err != nil {
+			t.Errorf("%+v: %v", tc, resp.Err)
+			continue
+		}
+		if !bytes.Equal(got, data[tc.at:tc.at+int64(tc.m)]) {
+			t.Errorf("%+v: Dst holds the wrong bytes", tc)
+		}
+		if d := resp.Body.(*FetchResp).Data[0]; len(d) != tc.m || &d[0] != &got[0] {
+			t.Errorf("%+v: response does not alias the destination", tc)
+		}
+		if c != full {
+			t.Errorf("%+v: charged %+v, full-length read %+v", tc, c, full)
+		}
+	}
+	for _, at := range []int64{-1, n - 100, math.MaxInt64 - 100} {
+		if _, resp, _ := fetch(false, at, 200); resp.Err == nil || errors.Is(resp.Err, vos.ErrNoContent) {
+			t.Errorf("200-byte Dst at %d of a %d-byte read: err = %v, want a range error", at, n, resp.Err)
+		}
+	}
+}
+
 func TestSingleValueOps(t *testing.T) {
 	r := newRig()
 	resp := r.call(t, &UpdateReq{

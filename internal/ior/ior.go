@@ -12,7 +12,6 @@
 package ior
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -231,20 +230,84 @@ func (env *Env) newNamespace(p *sim.Proc, class placement.ClassID) (*namespace, 
 	return ns, nil
 }
 
-// pattern fills buf with IOR-style verifiable data: a word-granular
-// function of the writing rank and the absolute byte offset. buf and absOff
-// must be 8-byte multiples (transfer sizes always are).
+// pattern fills buf with IOR-style verifiable data: a function of the
+// writing rank and the absolute byte offset, one little-endian 8-byte word
+// at a time from the start of buf, the word at offset x being
+// seed ^ mix(x). A tail shorter than a word holds the low bytes of the word
+// at its offset, so every byte of a transfer is patterned whatever its size.
 func pattern(buf []byte, srcRank int, absOff int64) {
-	seed := uint64(srcRank)*0x9E3779B97F4A7C15 + 0x1234567
-	for i := 0; i+8 <= len(buf); i += 8 {
-		w := seed ^ mix(uint64(absOff+int64(i)))
-		binary.LittleEndian.PutUint64(buf[i:], w)
+	seed, x := patternSeed(srcRank), uint64(absOff)
+	if x+uint64(len(buf)) <= mixLinearBelow {
+		for y := x * mixMul; len(buf) >= 32; buf, x = buf[32:], x+32 {
+			b := buf[:32:32]
+			binary.LittleEndian.PutUint64(b[0:], seed^y^y>>33)
+			y += mixStep
+			binary.LittleEndian.PutUint64(b[8:], seed^y^y>>33)
+			y += mixStep
+			binary.LittleEndian.PutUint64(b[16:], seed^y^y>>33)
+			y += mixStep
+			binary.LittleEndian.PutUint64(b[24:], seed^y^y>>33)
+			y += mixStep
+		}
+	}
+	for ; len(buf) >= 8; buf, x = buf[8:], x+8 {
+		binary.LittleEndian.PutUint64(buf, seed^mix(x))
+	}
+	for i, w := 0, seed^mix(x); i < len(buf); i, w = i+1, w>>8 {
+		buf[i] = byte(w)
 	}
 }
 
+// hasPattern reports whether buf holds what pattern(buf, srcRank, absOff)
+// writes. It compares each word as it computes it, in one pass with no
+// second buffer, and stops at the first mismatch.
+func hasPattern(buf []byte, srcRank int, absOff int64) bool {
+	seed, x := patternSeed(srcRank), uint64(absOff)
+	if x+uint64(len(buf)) <= mixLinearBelow {
+		for y := x * mixMul; len(buf) >= 32; buf, x = buf[32:], x+32 {
+			b := buf[:32:32]
+			diff := binary.LittleEndian.Uint64(b[0:]) ^ seed ^ y ^ y>>33
+			y += mixStep
+			diff |= binary.LittleEndian.Uint64(b[8:]) ^ seed ^ y ^ y>>33
+			y += mixStep
+			diff |= binary.LittleEndian.Uint64(b[16:]) ^ seed ^ y ^ y>>33
+			y += mixStep
+			diff |= binary.LittleEndian.Uint64(b[24:]) ^ seed ^ y ^ y>>33
+			y += mixStep
+			if diff != 0 {
+				return false
+			}
+		}
+	}
+	for ; len(buf) >= 8; buf, x = buf[8:], x+8 {
+		if binary.LittleEndian.Uint64(buf) != seed^mix(x) {
+			return false
+		}
+	}
+	for i, w := 0, seed^mix(x); i < len(buf); i, w = i+1, w>>8 {
+		if buf[i] != byte(w) {
+			return false
+		}
+	}
+	return true
+}
+
+func patternSeed(srcRank int) uint64 { return uint64(srcRank)*0x9E3779B97F4A7C15 + 0x1234567 }
+
+const (
+	mixMul = 0xFF51AFD7ED558CCD
+	// Below mixLinearBelow, mix's first xor-shift is the identity, so
+	// x*mixMul grows by mixStep per 8-byte word. Where a transfer lies
+	// wholly below, pattern and hasPattern step it with an add instead of
+	// the multiply, four words a pass so the loop's own work is spread over
+	// more words; the general loop takes the last few words.
+	mixLinearBelow = 1 << 33
+	mixStep        = (8 * mixMul) & (1<<64 - 1)
+)
+
 func mix(x uint64) uint64 {
 	x ^= x >> 33
-	x *= 0xFF51AFD7ED558CCD
+	x *= mixMul
 	x ^= x >> 33
 	return x
 }
@@ -371,15 +434,15 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 				return
 			}
 			// With verification on, one reused buffer receives every
-			// transfer (ReadAtInto overwrites all n bytes, holes as zeros).
-			// Without it the contents are irrelevant: a nil destination
+			// transfer (ReadAtInto overwrites all n bytes, holes as zeros),
+			// and hasPattern checks it against the pattern as it computes
+			// it. Without it the contents are irrelevant: a nil destination
 			// simulates each read with identical timing while the data path
 			// materializes nothing — real IOR still moves the bytes, but the
 			// simulation only needs their geometry.
-			var readBuf, want []byte
+			var readBuf []byte
 			if cfg.Verify {
 				readBuf = make([]byte, cfg.TransferSize)
-				want = make([]byte, cfg.TransferSize)
 			}
 			for _, st := range cfg.opOrder(r.ID(), transfersPerBlock) {
 				off := cfg.offset(srcRank, ranks, st[0], st[1])
@@ -387,11 +450,8 @@ func runIteration(p *sim.Proc, env *Env, ns *namespace, cfg Config, iter int, re
 					noteErr(fmt.Errorf("rank %d read: %w", r.ID(), err))
 					return
 				}
-				if cfg.Verify {
-					pattern(want, srcRank, off)
-					if !bytes.Equal(readBuf, want) {
-						res.VerifyErrors++
-					}
+				if cfg.Verify && !hasPattern(readBuf, srcRank, off) {
+					res.VerifyErrors++
 				}
 			}
 			noteErr(f.Close(cp))

@@ -81,6 +81,22 @@ func TestHardModeAllAPIs(t *testing.T) {
 	}
 }
 
+// TestVerifiedTransfersWithTail runs a transfer size that is not a whole
+// number of 8-byte words, so the last 4 bytes of every transfer are a tail:
+// each API must store and return them as the pattern wrote them.
+func TestVerifiedTransfersWithTail(t *testing.T) {
+	for _, api := range []ior.API{ior.APIDFS, ior.APIPosix, ior.APIMPIIO, ior.APIHDF5} {
+		t.Run(string(api), func(t *testing.T) {
+			cfg := base(api, false)
+			cfg.TransferSize, cfg.BlockSize = 1004, 4*1004
+			res := runCfg(t, cfg)
+			if res.VerifyErrors != 0 || res.Read.MaxGiBs <= 0 {
+				t.Fatalf("verify errors %d, read %v GiB/s", res.VerifyErrors, res.Read.MaxGiBs)
+			}
+		})
+	}
+}
+
 func TestCollectiveMPIIO(t *testing.T) {
 	cfg := base(ior.APIMPIIO, false)
 	cfg.Collective = true

@@ -28,8 +28,8 @@ import (
 // identical timing. ReadAtWant fills dst (len(dst) == n) in place, or —
 // with a nil dst — simulates the read with identical timing while
 // materializing nothing; with a non-nil want (file ranges sorted by
-// offset) it materializes only the sub-reads they touch, leaving the rest
-// of dst as it was.
+// offset) it materializes only the hull of the wanted bytes in each
+// sub-read they touch, leaving the rest of dst as it was.
 type Driver interface {
 	WriteAtFrom(p *sim.Proc, off int64, n int64, src []byte) error
 	ReadAtWant(p *sim.Proc, off int64, n int64, dst []byte, want []daos.Range) error
@@ -310,12 +310,12 @@ func (f *File) writeCoalesced(p *sim.Proc, pieces []*piece) error {
 // dst (len(dst) == n; the answered pieces cover every byte). A rank
 // passing a nil dst sends discard-tagged requests: exchanges keep their
 // sizes (the shuffle still ships the bytes in simulated time). An
-// aggregator's covering read materializes only the sub-reads that the
-// requests of ranks passing a dst touch, so bytes between requests are
-// never copied and an all-discard collective moves nothing; it fails with
-// vos.ErrNoContent only when a length-only byte lies in a sub-read it
-// materializes. Every rank must call it (nil dst with n == 0 for
-// zero-length participation).
+// aggregator's covering read materializes, in each sub-read, only the
+// hull of the bytes that ranks passing a dst request, so bytes between
+// requests in different chunks are never copied and an all-discard
+// collective moves nothing; it fails with vos.ErrNoContent only when a
+// length-only byte lies in a hull it materializes. Every rank must call it
+// (nil dst with n == 0 for zero-length participation).
 func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error {
 	lo, hi, ok := f.collectiveExtent(p, off, n)
 	if !ok {
@@ -347,7 +347,7 @@ func (f *File) ReadAtAllInto(p *sim.Proc, off int64, n int64, dst []byte) error 
 
 	// Aggregators read the covering extent of the requests addressed to
 	// them, then answer each request from that buffer. The covering read
-	// materializes only the sub-reads that the observed requests touch;
+	// materializes only the hull of the observed requests in each sub-read;
 	// its timing is identical whatever it materializes.
 	var myReqs []*piece
 	reqFrom := make([]int, 0)
