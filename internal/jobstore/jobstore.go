@@ -28,18 +28,26 @@
 //
 // # Appends, retirement and compaction
 //
-// Every append is one write and one fsync, however many records it
-// carries: once AppendBatch or AppendPoint returns, all of its records
-// survive kill -9, and a crash during it tears at most that write, whose
-// whole frames before the tear replay. After a failed write or fsync the
-// store refuses every later append with that first error, because a
-// record behind a torn frame would never replay and the kernel may have
-// dropped the unsynced data. BatchDone appends a done record while other
-// batches are live; retiring the last live batch instead truncates the
-// segment back to its magic header, so a quiet server's journal is just
-// that header. Open compacts the live state (batches not yet done) into
-// a fresh segment via temp+rename and deletes the older ones, so a
-// journal left behind by a crash does not accumulate retired history.
+// Every append is one write, however many records it carries, and a
+// crash during it tears at most that write, whose whole frames before
+// the tear replay. Durability is one shared fsync: AppendPoint and Sync
+// return once an fsync that began after their write has ended, so every
+// record appended before them survives an OS crash. At most one fsync
+// runs at a time, and it runs outside the store's mutex: appends and
+// retirements go on during it, and a waiter that an ended fsync already
+// covered returns without starting another (group commit). AppendBatch
+// and BatchDone write without syncing: the next AppendPoint or Sync
+// covers them, and until then kill -9 loses nothing, since written
+// frames sit in the page cache; only an OS crash can. After a failed
+// write, truncate or fsync the store refuses every later append, sync
+// and retirement with that first error, because a record behind a torn
+// frame would never replay and the kernel may have dropped the unsynced
+// data. BatchDone appends a done record while other batches are live;
+// retiring the last live batch instead truncates the segment back to its
+// magic header, so a quiet server's journal is just that header. Open
+// compacts the live state (batches not yet done) into a fresh segment
+// via temp+rename and deletes the older ones, so a journal left behind
+// by a crash does not accumulate retired history.
 package jobstore
 
 import (
@@ -130,11 +138,18 @@ type Store struct {
 	f      *os.File
 	live   map[string]bool
 	closed bool
-	// err is the first failed write, truncate or fsync; every append
-	// after it returns err and writes nothing.
+	// err is the first failed write, truncate or fsync; every append,
+	// sync and retirement after it returns err and writes nothing.
 	err error
 	// buf holds the frames of one append and is reused by the next.
 	buf []byte
+	// wrote counts the writes and truncations of the append segment;
+	// synced is what wrote was when the last successful fsync began, so
+	// every write up to it is durable. syncing is set while an fsync runs
+	// outside mu, and syncDone signals its end.
+	wrote, synced uint64
+	syncing       bool
+	syncDone      sync.Cond
 }
 
 // Open replays the journal under dir (creating it if needed), compacts
@@ -205,6 +220,7 @@ func Open(dir string) (*Store, error) {
 		recovered: liveBatches,
 		live:      make(map[string]bool, len(liveBatches)),
 	}
+	s.syncDone.L = &s.mu
 	for _, b := range liveBatches {
 		s.live[b.ID] = true
 	}
@@ -228,12 +244,14 @@ func (s *Store) Recovered() []Batch { return s.recovered }
 // Dir returns the journal directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Syncs returns how many fsyncs the store has issued: appends,
-// retirements, compaction and its directory sync, and Close.
+// Syncs returns how many fsyncs the store has issued: compaction's at
+// Open (the new segment and its directory), then one per fsync of the
+// append segment, however many callers it covered.
 func (s *Store) Syncs() int64 { return s.syncs.Load() }
 
-// AppendBatch journals a new submission. It must be called before any
-// AppendPoint for the same id.
+// AppendBatch journals a new submission with one write and no fsync: the
+// next AppendPoint or Sync makes it durable. It must be called before
+// any AppendPoint for the same id.
 func (s *Store) AppendBatch(id string, cfgs []core.Config) error {
 	payload, err := json.Marshal(batchRecord{ID: id, Configs: cfgs})
 	if err != nil {
@@ -241,15 +259,16 @@ func (s *Store) AppendBatch(id string, cfgs []core.Config) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(appendFrame(s.buf[:0], recBatch, payload)); err != nil {
+	if err := s.writeLocked(appendFrame(s.buf[:0], recBatch, payload)); err != nil {
 		return err
 	}
 	s.live[id] = true
 	return nil
 }
 
-// AppendPoint journals completed points of batch id with one write and
-// one fsync: once it returns, every one of prs survives a crash. A record
+// AppendPoint journals completed points of batch id with one write, and
+// returns once an fsync that began after it has ended: every one of prs,
+// and everything appended before them, then survives a crash. A record
 // that fails to encode fails the call before anything is written.
 func (s *Store) AppendPoint(id string, prs ...PointRecord) error {
 	s.mu.Lock()
@@ -262,14 +281,28 @@ func (s *Store) AppendPoint(id string, prs ...PointRecord) error {
 		}
 		buf = appendFrame(buf, recPoint, payload)
 	}
-	return s.appendLocked(buf)
+	if err := s.writeLocked(buf); err != nil {
+		return err
+	}
+	return s.syncLocked()
 }
 
-// BatchDone retires batch id: once it returns, the batch will not be
-// recovered again. While other batches are live that takes a done
-// record; retiring the last live batch instead truncates the segment
-// back to its magic header, since every record in it belongs to a
-// retired batch.
+// Sync returns once an fsync that began after every append so far has
+// ended, making batch records and retirements durable.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.usableLocked(); err != nil {
+		return err
+	}
+	return s.syncLocked()
+}
+
+// BatchDone retires batch id without syncing: once the next AppendPoint
+// or Sync returns, the batch will not be recovered again. While other
+// batches are live that takes a done record; retiring the last live
+// batch instead truncates the segment back to its magic header, since
+// every record in it belongs to a retired batch.
 func (s *Store) BatchDone(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,17 +314,19 @@ func (s *Store) BatchDone(id string) error {
 		if err := s.f.Truncate(int64(len(magic))); err != nil {
 			return s.failLocked(fmt.Errorf("jobstore: truncate: %w", err))
 		}
-		return s.syncLocked()
+		s.wrote++
+		return nil
 	}
 	payload, err := json.Marshal(doneRecord{ID: id})
 	if err != nil {
 		return fmt.Errorf("jobstore: encode done: %w", err)
 	}
-	return s.appendLocked(appendFrame(s.buf[:0], recDone, payload))
+	return s.writeLocked(appendFrame(s.buf[:0], recDone, payload))
 }
 
-// Close syncs and closes the journal. Appends after Close return
-// ErrClosed.
+// Close waits for an fsync in flight, syncs what it did not cover, and
+// closes the journal; it returns the store's sticky error if it has one.
+// Appends after Close return ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -299,10 +334,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.f == nil {
-		return nil
-	}
-	err := s.fsync(s.f)
+	err := s.syncLocked()
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
@@ -320,10 +352,10 @@ func appendFrame(buf []byte, t recordType, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
 }
 
-// appendLocked writes buf, whole frames, with one write and one fsync, so
-// a crash tears at most this write and replay keeps every whole frame
-// before the tear. buf is kept for the next append.
-func (s *Store) appendLocked(buf []byte) error {
+// writeLocked writes buf, whole frames, with one write, so a crash tears
+// at most this write and replay keeps every whole frame before the tear.
+// buf is kept for the next append.
+func (s *Store) writeLocked(buf []byte) error {
 	if cap(buf) <= maxKeptBuf {
 		s.buf = buf[:0]
 	}
@@ -333,15 +365,35 @@ func (s *Store) appendLocked(buf []byte) error {
 	if _, err := s.f.Write(buf); err != nil {
 		return s.failLocked(fmt.Errorf("jobstore: append: %w", err))
 	}
-	return s.syncLocked()
+	s.wrote++
+	return nil
 }
 
-// syncLocked fsyncs the append segment.
+// syncLocked returns once an fsync that began after every write so far
+// has ended. It waits for an fsync in flight, which covers the caller
+// only if it began after the caller's writes; when none runs it starts
+// one, releasing mu for its length so other appends go on meanwhile.
 func (s *Store) syncLocked() error {
-	if err := s.fsync(s.f); err != nil {
-		return s.failLocked(fmt.Errorf("jobstore: sync: %w", err))
+	want := s.wrote
+	for s.err == nil && s.synced < want {
+		if s.syncing {
+			s.syncDone.Wait()
+			continue
+		}
+		f, covers := s.f, s.wrote
+		s.syncing = true
+		s.mu.Unlock()
+		err := s.fsync(f)
+		s.mu.Lock()
+		s.syncing = false
+		if err != nil {
+			s.failLocked(fmt.Errorf("jobstore: sync: %w", err))
+		} else {
+			s.synced = covers
+		}
+		s.syncDone.Broadcast()
 	}
-	return nil
+	return s.err
 }
 
 // usableLocked reports why the store takes no more appends, if it does
@@ -354,10 +406,12 @@ func (s *Store) usableLocked() error {
 }
 
 // failLocked makes err the store's sticky error (see the package comment)
-// and returns it.
+// unless an earlier failure already is, and returns the sticky error.
 func (s *Store) failLocked(err error) error {
-	s.err = err
-	return err
+	if s.err == nil {
+		s.err = err
+	}
+	return s.err
 }
 
 // fsync syncs f and counts it.

@@ -2,10 +2,15 @@ package jobstore
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"daosim/internal/core"
 )
@@ -113,8 +118,8 @@ func TestBatchDoneRetires(t *testing.T) {
 	if err := s.BatchDone("b1"); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Syncs() - syncs; n != 1 {
-		t.Fatalf("retiring the last live batch cost %d fsyncs, want 1", n)
+	if n := s.Syncs() - syncs; n != 0 {
+		t.Fatalf("retiring the last live batch cost %d fsyncs, want 0 (the next sync covers it)", n)
 	}
 	// Retiring the last live batch truncates the segment: the journal is
 	// back to just its magic header, before and after a reopen.
@@ -366,6 +371,268 @@ func TestFailedAppendIsSticky(t *testing.T) {
 	if len(bs) != 1 || bs[0].ID != "b1" || len(bs[0].Points) != 1 || bs[0].Points[0].Pos != 0 {
 		t.Fatalf("recovered %+v, want batch b1 with exactly its first point", bs)
 	}
+}
+
+// TestFailedSyncIsSticky: a failed fsync fails the store like a failed
+// write. The batch record below is written but not synced when the
+// fsync fails, so durability of everything written is unknown: every
+// later append, sync and retirement returns that first error.
+func TestFailedSyncIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	if err := s.AppendBatch("b1", testConfigs()); err != nil {
+		t.Fatal(err)
+	}
+	path, _ := journalBytes(t, dir)
+	closed, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	good := s.f
+	s.f = closed
+	first := s.Sync()
+	s.f = good
+	if first == nil {
+		t.Fatal("a sync through a closed handle succeeded")
+	}
+	if err := s.AppendPoint("b1", testPoint(0)); err != first {
+		t.Fatalf("AppendPoint after a failed sync = %v, want the first error %v", err, first)
+	}
+	if err := s.Sync(); err != first {
+		t.Fatalf("Sync after a failed sync = %v, want the first error %v", err, first)
+	}
+	if err := s.BatchDone("b1"); err != first {
+		t.Fatalf("BatchDone after a failed sync = %v, want the first error %v", err, first)
+	}
+	if err := s.AppendBatch("b2", testConfigs()); err != first {
+		t.Fatalf("AppendBatch after a failed sync = %v, want the first error %v", err, first)
+	}
+	s.Close()
+}
+
+// TestSyncCoversEarlierWrites: batch records and retirements cost no
+// fsync of their own; one Sync covers everything written before it, and
+// a Sync with nothing new to cover issues none.
+func TestSyncCoversEarlierWrites(t *testing.T) {
+	s := openT(t, t.TempDir())
+	defer s.Close()
+	syncs := s.Syncs()
+	for _, id := range []string{"b1", "b2"} {
+		if err := s.AppendBatch(id, testConfigs()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.BatchDone("b1"); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Syncs() - syncs; n != 0 {
+		t.Fatalf("two batch records and a retirement cost %d fsyncs, want 0", n)
+	}
+	for i, want := range []int64{1, 1} {
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Syncs() - syncs; n != want {
+			t.Fatalf("after Sync %d: %d fsyncs, want %d", i+1, n, want)
+		}
+	}
+}
+
+// TestConcurrentAppendsReplay runs several writers at once, each
+// journaling a batch that stays live and one it retires, with their
+// points. Every record replays after a reopen, and the writers' fsyncs,
+// shared where they overlap, never exceed their AppendPoint and Sync
+// calls. Run it under -race.
+func TestConcurrentAppendsReplay(t *testing.T) {
+	const writers, points = 8, 6
+	dir := t.TempDir()
+	s := openT(t, dir)
+	syncs := s.Syncs()
+	var calls atomic.Int64
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			live, done := fmt.Sprintf("live-%d", w), fmt.Sprintf("done-%d", w)
+			errs <- func() error {
+				for _, id := range []string{live, done} {
+					if err := s.AppendBatch(id, testConfigs()); err != nil {
+						return err
+					}
+				}
+				calls.Add(1)
+				if err := s.Sync(); err != nil {
+					return err
+				}
+				for i := 0; i < points; i++ {
+					for _, id := range []string{live, done} {
+						calls.Add(1)
+						if err := s.AppendPoint(id, testPoint(i)); err != nil {
+							return err
+						}
+					}
+				}
+				return s.BatchDone(done)
+			}()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.Syncs() - syncs; n > calls.Load() {
+		t.Fatalf("%d AppendPoint and Sync calls issued %d fsyncs", calls.Load(), n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openT(t, dir)
+	defer s2.Close()
+	got := map[string]Batch{}
+	for _, b := range s2.Recovered() {
+		got[b.ID] = b
+	}
+	if len(got) != writers {
+		t.Fatalf("recovered %d batches, want the %d live ones", len(got), writers)
+	}
+	for w := 0; w < writers; w++ {
+		b, ok := got[fmt.Sprintf("live-%d", w)]
+		if !ok {
+			t.Fatalf("batch live-%d did not replay", w)
+		}
+		if len(b.Points) != points {
+			t.Fatalf("batch %s replayed %d points, want %d", b.ID, len(b.Points), points)
+		}
+		for i, pr := range b.Points {
+			if pr.Pos != i {
+				t.Fatalf("batch %s point %d replayed at position %d", b.ID, i, pr.Pos)
+			}
+		}
+	}
+}
+
+// TestCloseWaitsForSyncInFlight: Close waits for an fsync running outside
+// the store's mutex, then syncs what that fsync did not cover and closes
+// the file once. The fsync in flight is stood in for by the flag that
+// syncLocked sets before it releases the mutex.
+func TestCloseWaitsForSyncInFlight(t *testing.T) {
+	s := openT(t, t.TempDir())
+	if err := s.AppendBatch("b1", testConfigs()); err != nil {
+		t.Fatal(err)
+	}
+	f := s.f
+	s.mu.Lock()
+	s.syncing = true
+	s.mu.Unlock()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while an fsync was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	syncs := s.Syncs()
+	s.mu.Lock()
+	s.syncing = false
+	s.syncDone.Broadcast()
+	s.mu.Unlock()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close after the fsync ended: %v", err)
+	}
+	if n := s.Syncs() - syncs; n != 1 {
+		t.Fatalf("Close issued %d fsyncs for the uncovered batch record, want 1", n)
+	}
+	if err := f.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("closing the journal file again = %v, want os.ErrClosed (Close closes it)", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
+	if err := s.Sync(); err != ErrClosed {
+		t.Fatalf("Sync after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestCloseDuringAppends closes the store while writers append: every
+// append either lands durably or returns ErrClosed, and every point whose
+// AppendPoint succeeded replays.
+func TestCloseDuringAppends(t *testing.T) {
+	const writers = 4
+	dir := t.TempDir()
+	s := openT(t, dir)
+	if err := s.AppendBatch("b1", testConfigs()); err != nil {
+		t.Fatal(err)
+	}
+	var landed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; ; i += writers {
+				err := s.AppendPoint("b1", testPoint(i))
+				if err == ErrClosed {
+					return
+				}
+				if err != nil {
+					t.Errorf("AppendPoint: %v", err)
+					return
+				}
+				landed.Add(1)
+			}
+		}()
+	}
+	for landed.Load() < writers {
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close during appends: %v", err)
+	}
+	wg.Wait()
+	s2 := openT(t, dir)
+	defer s2.Close()
+	bs := s2.Recovered()
+	if len(bs) != 1 || int64(len(bs[0].Points)) != landed.Load() {
+		t.Fatalf("recovered %d batches, want b1 with the %d points whose appends returned nil", len(bs), landed.Load())
+	}
+}
+
+// BenchmarkJournalBatch is one warm batch's journal traffic: its batch
+// record, one 16-record commit and its retirement, the last live batch's.
+// fsyncs/op is what the batch costs the disk.
+func BenchmarkJournalBatch(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	cfgs := testConfigs()
+	prs := make([]PointRecord, 16)
+	for i := range prs {
+		prs[i] = testPoint(i)
+	}
+	syncs := s.Syncs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.AppendBatch("warm", cfgs); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.AppendPoint("warm", prs...); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.BatchDone("warm"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(s.Syncs()-syncs)/float64(b.N), "fsyncs/op")
 }
 
 func TestAppendAfterCloseErrors(t *testing.T) {

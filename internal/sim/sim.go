@@ -132,12 +132,13 @@ func (s *Sim) RNG() *RNG { return s.rng }
 // event is a scheduled occurrence. Events with equal times fire in insertion
 // order, which keeps runs reproducible. Exactly one of fire, proc, spawn, or
 // bw is set: fire is a generic callback, proc wakes a parked process, spawn
-// starts a new process (the event carries the body and name; the process
-// draws its coroutine from the arena only when the event fires, so a batch
-// of pre-scheduled future processes reuses the coroutines of the ones that
-// finished before them), and bw checks a SharedBW completion (gen guards
-// against stale, superseded completions). Events are pooled: once popped
-// they are reset and recycled, so no component may retain a popped event.
+// starts a new process (the event carries the body, name and WaitGroup, if
+// any; the process draws its coroutine from the arena only when the event
+// fires, so a batch of pre-scheduled future processes reuses the coroutines
+// of the ones that finished before them), and bw checks a SharedBW
+// completion (gen guards against stale, superseded completions). Events are
+// pooled: once popped they are reset and recycled, so no component may
+// retain a popped event.
 type event struct {
 	at    time.Duration
 	seq   uint64
@@ -145,6 +146,7 @@ type event struct {
 	proc  *Proc
 	spawn func(p *Proc)
 	sname string
+	swg   *WaitGroup
 	bw    *SharedBW
 	gen   uint64
 	// idx is the event's position in the heap (-1 when unqueued); it lets
@@ -253,6 +255,7 @@ func (s *Sim) recycle(e *event) {
 	e.proc = nil
 	e.spawn = nil
 	e.sname = ""
+	e.swg = nil
 	e.bw = nil
 	e.gen = 0
 	s.free = append(s.free, e)
@@ -385,6 +388,7 @@ func (s *Sim) dispatch() *Proc {
 			p := s.allocProc()
 			p.name = e.sname
 			p.body = e.spawn
+			p.wg = e.swg
 			s.recycle(e)
 			return p
 		case e.fire != nil:
@@ -490,6 +494,9 @@ type Proc struct {
 	sim  *Sim
 	name string
 	body func(p *Proc)
+	// wg, when set, is the WaitGroup whose Go spawned the process: run
+	// calls its Done once body returns.
+	wg *WaitGroup
 	// resume and stop are the shell coroutine's iter.Pull pair; only drive
 	// resumes. yield suspends the coroutine back to drive and reports
 	// false once stop was called.
@@ -517,10 +524,17 @@ func (s *Sim) Spawn(name string, body func(p *Proc)) {
 // event fires, so processes scheduled for the future reuse the coroutines
 // of processes that finish before then.
 func (s *Sim) SpawnAt(t time.Duration, name string, body func(p *Proc)) {
+	s.spawnAt(t, name, body, nil)
+}
+
+// spawnAt schedules a process start, for SpawnAt and WaitGroup.Go; a
+// non-nil wg is told Done when body returns.
+func (s *Sim) spawnAt(t time.Duration, name string, body func(p *Proc), wg *WaitGroup) {
 	s.nproc++
 	e := s.alloc(t)
 	e.spawn = body
 	e.sname = name
+	e.swg = wg
 	s.queue.push(e)
 }
 
@@ -558,10 +572,11 @@ func (e *procPanic) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", e.proc, e.value, e.stack)
 }
 
-// run is an arena coroutine's lifetime: execute the assigned body, park the
-// shell on the free stack, and dispatch until drive resumes the shell
-// with its next body — or, when the next event spawns onto this very shell,
-// carry straight on. Stopping the coroutine ends it through errStopped.
+// run is an arena coroutine's lifetime: execute the assigned body, tell its
+// WaitGroup, if any, park the shell on the free stack, and dispatch until
+// drive resumes the shell with its next body — or, when the next event
+// spawns onto this very shell, carry straight on. Stopping the coroutine
+// ends it through errStopped.
 func (p *Proc) run(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
@@ -571,9 +586,12 @@ func (p *Proc) run(yield func(struct{}) bool) {
 	}()
 	s := p.sim
 	for {
-		body := p.body
-		p.body = nil
+		body, wg := p.body, p.wg
+		p.body, p.wg = nil, nil
 		body(p)
+		if wg != nil {
+			wg.Done()
+		}
 		s.nproc--
 		s.idle = append(s.idle, p)
 		p.yieldWait()
@@ -671,11 +689,15 @@ func (p *Proc) Sleep(d time.Duration) {
 }
 
 // WaitGroup coordinates fork/join between simulated processes, mirroring
-// sync.WaitGroup but driven by virtual time.
+// sync.WaitGroup but driven by virtual time. The first waiter is held in
+// the group itself, so the usual fork/join (one parent waiting) allocates
+// nothing beyond the group.
 type WaitGroup struct {
-	sim     *Sim
-	count   int
-	waiters []*Proc
+	sim   *Sim
+	count int
+	// first and more are the waiters, in arrival order.
+	first *Proc
+	more  []*Proc
 }
 
 // NewWaitGroup returns a WaitGroup bound to s.
@@ -690,11 +712,12 @@ func (wg *WaitGroup) Done() {
 	if wg.count < 0 {
 		panic("sim: WaitGroup counter negative")
 	}
-	if wg.count == 0 {
-		for _, w := range wg.waiters {
+	if wg.count == 0 && wg.first != nil {
+		wg.sim.unpark(wg.first)
+		for _, w := range wg.more {
 			wg.sim.unpark(w)
 		}
-		wg.waiters = nil
+		wg.first, wg.more = nil, nil
 	}
 }
 
@@ -703,15 +726,17 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	if wg.count == 0 {
 		return
 	}
-	wg.waiters = append(wg.waiters, p)
+	if wg.first == nil {
+		wg.first = p
+	} else {
+		wg.more = append(wg.more, p)
+	}
 	p.park()
 }
 
-// Go spawns body as a child process tracked by the WaitGroup.
+// Go spawns body as a child process tracked by the WaitGroup: Done runs
+// when body returns.
 func (wg *WaitGroup) Go(name string, body func(p *Proc)) {
 	wg.Add(1)
-	wg.sim.Spawn(name, func(p *Proc) {
-		defer wg.Done()
-		body(p)
-	})
+	wg.sim.spawnAt(wg.sim.now, name, body, wg)
 }

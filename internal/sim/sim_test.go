@@ -113,6 +113,32 @@ func TestWaitGroupAlreadyZero(t *testing.T) {
 	}
 }
 
+// TestWaitGroupFanOutAllocatesOnlyTheGroup: once the event pool and the
+// coroutine arena are warm, a fan-out of k children joined by one Wait
+// allocates NewWaitGroup's group and nothing else: Go wraps no closure
+// around a child's body, and the first waiter needs no slice.
+func TestWaitGroupFanOutAllocatesOnlyTheGroup(t *testing.T) {
+	const k = 8
+	s := New(1)
+	child := func(c *Proc) { c.Sleep(time.Microsecond) }
+	parent := func(p *Proc) {
+		wg := NewWaitGroup(s)
+		for i := 0; i < k; i++ {
+			wg.Go("child", child)
+		}
+		wg.Wait(p)
+	}
+	fanOut := func() {
+		s.Spawn("parent", parent)
+		s.Run()
+	}
+	fanOut() // warm the event pool and the coroutine arena
+	if n := testing.AllocsPerRun(10, fanOut); n != 1 {
+		t.Fatalf("a %d-child fan-out and join allocated %.1f objects, want 1 (the group)", k, n)
+	}
+	s.discard()
+}
+
 func TestResourceFIFO(t *testing.T) {
 	s := New(1)
 	r := NewResource(s, "srv", 1)

@@ -45,9 +45,14 @@ type batchState struct {
 	// committing is set while a commit journals and publishes, so one
 	// runs per batch at a time.
 	committing bool
-	done       []bool  // positions delivered, staged or recovered
-	ledger     Trailer // the running counters; Done once every job has landed
-	wakers     map[chan struct{}]struct{}
+	// synced is set once the batch record's sync has ended (or failed:
+	// the batch then runs without durability); streams hold the header,
+	// which carries the batch id, until then. Unregistered and recovered
+	// batches start synced.
+	synced bool
+	done   []bool  // positions delivered, staged or recovered
+	ledger Trailer // the running counters; Done once every job has landed
+	wakers map[chan struct{}]struct{}
 }
 
 // newBatch creates the state for jobs running under ctx. A non-empty id
@@ -63,6 +68,7 @@ func (s *Server) newBatch(ctx context.Context, id string, jobs []core.PointJob, 
 		log:     make([]StreamPoint, 0, len(jobs)),
 		ledger:  Trailer{CacheEnabled: s.cache != nil},
 		wakers:  make(map[chan struct{}]struct{}),
+		synced:  id == "",
 	}
 	b.sealLocked() // a zero-point batch is complete on arrival
 	return b
@@ -151,11 +157,13 @@ func (b *batchState) deliver(pos int, sp StreamPoint) {
 
 // commit journals everything staged in b with one AppendPoint, then
 // publishes it to the log and wakes the attachments, and repeats until
-// nothing is staged. A call that finds a commit running returns at once:
-// the running one picks up what was staged meanwhile, so journal order
-// stays log order. Once b's context has ended, commit journals and
-// publishes nothing more. Callers commit after their deliveries, and
-// before anything that may block for long.
+// nothing is staged. Its first AppendPoint also syncs b's batch record;
+// with nothing staged, a commit of a batch whose record is not synced
+// yet syncs the store instead. A call that finds a commit running
+// returns at once: the running one picks up what was staged meanwhile,
+// so journal order stays log order. Once b's context has ended, commit
+// journals and publishes nothing more. Callers commit after their
+// deliveries, and before anything that may block for long.
 func (s *Server) commit(b *batchState) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -163,19 +171,25 @@ func (s *Server) commit(b *batchState) {
 		return
 	}
 	b.committing = true
-	for b.staged > 0 && b.ctx.Err() == nil {
+	for (b.staged > 0 || !b.synced) && b.ctx.Err() == nil {
 		group := b.log[len(b.log) : len(b.log)+b.staged]
 		b.mu.Unlock()
-		recs := make([]jobstore.PointRecord, len(group))
-		for i, sp := range group {
-			recs[i] = jobstore.PointRecord{Pos: sp.Seq, Point: sp.toPoint(), CacheHit: sp.CacheHit, Coalesced: sp.Coalesced}
+		var err error
+		if len(group) == 0 {
+			err = s.store.Sync()
+		} else {
+			recs := make([]jobstore.PointRecord, len(group))
+			for i, sp := range group {
+				recs[i] = jobstore.PointRecord{Pos: sp.Seq, Point: sp.toPoint(), CacheHit: sp.CacheHit, Coalesced: sp.Coalesced}
+			}
+			err = s.store.AppendPoint(b.id, recs...)
 		}
-		err := s.store.AppendPoint(b.id, recs...)
 		b.mu.Lock()
 		if err != nil {
 			// The points still stream; they just will not survive a crash.
 			s.journalErrs.Add(1)
 		}
+		b.synced = true
 		for _, sp := range group {
 			b.pushLocked(sp)
 		}
@@ -197,24 +211,18 @@ func (b *batchState) wakeLocked() {
 
 // serveBatch streams b's log from offset from (a seq: the client has
 // everything up to and including it) and follows live deliveries through
-// the trailer. Any number of attachments can serve one batch
-// concurrently; whichever delivers the trailer first retires the batch.
-// An attachment ends early — a truncated stream — when its client leaves
-// or the server shuts down; the batch runs on under its own context.
+// the trailer. The header goes out with the first points once b's batch
+// record is synced, so a client never holds an id a crash could lose.
+// Any number of attachments can serve one batch concurrently; whichever
+// writes the trailer first retires the batch, and the trailer leaves
+// with the end of its response. An attachment ends early — a truncated
+// stream — when its client leaves or the server shuts down; the batch
+// runs on under its own context.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, b *batchState, from int) {
 	w.Header().Set("Content-Type", ContentType)
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Encode(Header{Batch: b.id, Points: len(b.jobs), Studies: b.studies}); err != nil {
-		return
-	}
-	flush()
 
 	wake := make(chan struct{}, 1)
 	b.mu.Lock()
@@ -225,26 +233,38 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, b *batchStat
 		delete(b.wakers, wake)
 		b.mu.Unlock()
 	}()
+	headed := false
 	for next := max(from, 0); ; {
 		b.mu.Lock()
-		log, trailer := b.log, b.ledger
+		log, trailer, synced := b.log, b.ledger, b.synced
 		b.mu.Unlock()
-		if next < len(log) {
-			for _, sp := range log[next:] {
+		if synced && (!headed || next < len(log) || trailer.Done) {
+			if !headed {
+				if err := enc.Encode(Header{Batch: b.id, Points: len(b.jobs), Studies: b.studies}); err != nil {
+					return
+				}
+				headed = true
+			}
+			for _, sp := range log[min(next, len(log)):] {
 				if err := enc.Encode(sp); err != nil {
 					return // client gone
 				}
 			}
-			flush()
-			next = len(log)
-		}
-		if trailer.Done {
-			if err := enc.Encode(trailer); err != nil {
+			next = max(next, len(log))
+			if trailer.Done {
+				// No flush: the trailer leaves with the response's end, in
+				// one write with its final chunk, so the read that brings
+				// the client the trailer also ends the response, and the
+				// connection goes back to the client's pool for its next
+				// batch instead of being dropped.
+				if enc.Encode(trailer) == nil {
+					s.retireBatch(b)
+				}
 				return
 			}
-			flush()
-			s.retireBatch(b)
-			return
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 		select {
 		case <-wake:

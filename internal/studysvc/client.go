@@ -30,8 +30,9 @@ const (
 	DefaultDialTimeout = 10 * time.Second
 	// DefaultHeaderTimeout caps the wait for the response status line and
 	// headers after the request is written. The server commits the status
-	// before scheduling any work, so a healthy peer answers within network
-	// latency regardless of sweep size.
+	// once the batch is accepted; a journaled batch's waits for its batch
+	// record's sync, which rides its first commit: before its first cache
+	// miss waits for a worker, or after its last cache lookup.
 	DefaultHeaderTimeout = 30 * time.Second
 )
 

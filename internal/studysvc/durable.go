@@ -19,23 +19,29 @@ import (
 // batch.go), distinguished only by being registered and by its lifetime.
 //
 // A durable batch's lifecycle: handleSubmit opens a registered batch,
-// which journals the submission and schedules its jobs under the
-// server's lifetime context (not the request's — the client may come
-// and go). deliver stages each result past the end of the delivery log,
-// and commit journals everything staged with one append and one fsync
+// which writes the submission's batch record to the journal and
+// schedules its jobs under the server's lifetime context (not the
+// request's — the client may come and go). deliver stages each result
+// past the end of the delivery log, and commit journals everything
+// staged with one append, which returns once a shared fsync covers it,
 // before it publishes those results to the log, so journal order is
 // delivery order. enqueue gathers a batch's cache hits into one commit;
-// a simulated point commits as it lands. Any number of stream
+// a simulated point commits as it lands. The batch record rides the
+// batch's first commit, or a sync of its own when enqueue is about to
+// wait for a pool slot or ends with nothing staged; stream headers,
+// which carry the batch id, wait for it. Any number of stream
 // attachments (the original POST, or GET resume legs) serve the log
-// from an offset and then follow live deliveries. When the trailer has
-// been delivered to some client, the batch retires: the journal retires
-// it (truncating itself to its header when no other batch is live) and
-// the state is dropped. Close cancels the lifetime context before
-// anything else, so a shutdown journals nothing that lands afterwards —
-// in particular not the cancellation placeholders of the points it
-// interrupted. A batch interrupted by a crash or shutdown is rebuilt
-// from the journal on startup: completed points pre-populate the
-// delivery log, the rest re-enqueue.
+// from an offset and then follow live deliveries. When an attachment has
+// written the trailer, the batch retires: the journal retires it
+// (truncating itself to its header when no other batch is live), the
+// state is dropped, and the trailer leaves with the end of the response. The retirement rides the journal's next sync, so
+// an OS crash before it leaves the batch recovered complete, and its
+// next stream replays every point and retires it again. Close cancels
+// the lifetime context before anything else, so a shutdown journals
+// nothing that lands afterwards — in particular not the cancellation
+// placeholders of the points it interrupted. A batch interrupted by a
+// crash or shutdown is rebuilt from the journal on startup: completed
+// points pre-populate the delivery log, the rest re-enqueue.
 
 // DurabilityStats is the /v1/statsz durability block of a daosd running
 // with a job store.
@@ -56,11 +62,13 @@ type DurabilityStats struct {
 	// ResumedStreams counts GET resume attachments served.
 	ResumedStreams int64 `json:"resumed_streams"`
 	// JournalSyncs counts the fsyncs the job store has issued since it
-	// was opened (jobstore.Store.Syncs).
+	// was opened (jobstore.Store.Syncs). An fsync shared by several
+	// batches' appends counts once.
 	JournalSyncs int64 `json:"journal_syncs"`
-	// JournalErrors counts appends and retirements the store refused
-	// (disk trouble; after its first failed write or fsync the store
-	// refuses them all). Affected points lose durability, not correctness.
+	// JournalErrors counts appends, syncs and retirements the store
+	// refused (disk trouble; after its first failed write or fsync the
+	// store refuses them all). Affected points lose durability, not
+	// correctness.
 	JournalErrors int64 `json:"journal_errors,omitempty"`
 }
 
@@ -117,6 +125,7 @@ func (s *Server) recoverBatches() {
 			sp.Coalesced = pr.Coalesced
 			b.pushLocked(sp) // b is not shared yet
 		}
+		b.synced = true // its batch record was replayed from disk
 		s.batchMu.Lock()
 		s.batches[rb.ID] = b
 		s.batchMu.Unlock()

@@ -1,7 +1,10 @@
 package studysvc
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +14,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,8 +98,8 @@ func TestDurableSubmitRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Retirement happens just after the trailer is flushed to the
-	// client, so poll briefly.
+	// Retirement happens as the trailer is written, not necessarily
+	// before the client has read it, so poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st, err := client.Stats(context.Background())
@@ -129,9 +133,11 @@ func TestDurableSubmitRoundTrip(t *testing.T) {
 }
 
 // TestJournalSyncsPerBatch pins the journal's fsync cost on a one-slot
-// server with one client. A cold batch costs its batch record, one commit
-// per miss, and its retirement: points + 2. A warm rerun journals all of
-// its cache hits in one commit: exactly 3.
+// server with one client. Batch records and retirements ride the next
+// sync. A cold batch syncs its batch record before its first miss waits
+// for the slot, then commits each miss: points + 1. A warm rerun
+// journals all of its cache hits, batch record included, in one commit:
+// exactly 1.
 func TestJournalSyncsPerBatch(t *testing.T) {
 	c, err := cache.New(cache.Options{})
 	if err != nil {
@@ -148,8 +154,8 @@ func TestJournalSyncsPerBatch(t *testing.T) {
 	cfgs := durableConfigs()
 	_, jobs := core.Decompose(cfgs)
 	client := NewClient(ts.URL)
-	// retiredSyncs waits for the last batch to retire, which happens just
-	// after its trailer is flushed, and returns the fsyncs so far.
+	// retiredSyncs waits for the last batch to retire, which happens as
+	// its trailer is written, and returns the fsyncs so far.
 	retiredSyncs := func() int64 {
 		var d *DurabilityStats
 		waitFor(t, "the batch to retire", func() bool {
@@ -166,7 +172,7 @@ func TestJournalSyncsPerBatch(t *testing.T) {
 	for _, pass := range []struct {
 		name string
 		want int64
-	}{{"cold", int64(len(jobs)) + 2}, {"warm", 3}} {
+	}{{"cold", int64(len(jobs)) + 1}, {"warm", 1}} {
 		if _, err := client.Submit(context.Background(), cfgs); err != nil {
 			t.Fatalf("%s Submit: %v", pass.name, err)
 		}
@@ -175,6 +181,147 @@ func TestJournalSyncsPerBatch(t *testing.T) {
 			t.Errorf("%s batch of %d points cost %d journal fsyncs, want %d", pass.name, len(jobs), got, pass.want)
 		}
 		last = syncs
+	}
+}
+
+// TestHeaderWaitsForBatchRecordSync: the header carries the batch id, and
+// a client holding the id may resume it, so a journaled POST's header is
+// written only once its batch record is synced. The batch's first cache
+// lookup is held at a peer tier, so nothing commits or syncs until it is
+// released: until then no header line is readable, and once it is, the
+// journal has synced.
+func TestHeaderWaitsForBatchRecordSync(t *testing.T) {
+	hold := make(chan struct{})
+	var holdOnce sync.Once
+	release := func() { holdOnce.Do(func() { close(hold) }) }
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-hold
+		http.NotFound(w, r)
+	}))
+	defer peer.Close()
+	defer release() // before the peer's Close waits for the held lookups
+	c, err := cache.New(fastPeer(peer.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := openStore(t, t.TempDir())
+	defer store.Close()
+	_, ts := startServer(t, Config{
+		Workers:   1,
+		NewWorker: func() Worker { return stubWorker{} },
+		Cache:     c,
+		Store:     store,
+	})
+	body, err := json.Marshal(SubmitRequest{Configs: durableConfigs(), Batch: "raw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type read struct {
+		line []byte
+		err  error
+	}
+	header := make(chan read, 1)
+	before := store.Syncs()
+	go func() {
+		resp, err := http.Post(ts.URL+PathSubmit, "application/json", bytes.NewReader(body))
+		if err != nil {
+			header <- read{nil, err}
+			return
+		}
+		defer resp.Body.Close()
+		line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+		header <- read{line, err}
+	}()
+	select {
+	case h := <-header:
+		t.Fatalf("header %q (%v) was readable before the batch record was synced", h.line, h.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := store.Syncs() - before; n != 0 {
+		t.Fatalf("the journal synced %d times while the first lookup was held", n)
+	}
+	release()
+	h := <-header
+	if h.err != nil {
+		t.Fatalf("read header line: %v", h.err)
+	}
+	if store.Syncs() == before {
+		t.Fatalf("header %q was readable before the batch record was synced", h.line)
+	}
+	var hd Header
+	if err := json.Unmarshal(h.line, &hd); err != nil || hd.Batch != "raw" {
+		t.Fatalf("header line %q (%v), want batch raw", h.line, err)
+	}
+}
+
+// TestRecoversCompleteUnretiredBatch: an OS crash after a batch's last
+// commit can lose its unsynced retirement, leaving its batch record and
+// every point but no done record. A restarted server recovers the batch
+// complete and simulates nothing; a resume from 0 streams every point and
+// the trailer, retires the batch, and leaves the journal at its header.
+func TestRecoversCompleteUnretiredBatch(t *testing.T) {
+	cfgs := durableConfigs()
+	_, jobs := core.Decompose(cfgs)
+	dir := t.TempDir()
+	crashed := openStore(t, dir)
+	if err := crashed.AppendBatch("unretired", cfgs); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]StreamPoint, len(jobs))
+	for pos, j := range jobs {
+		pt, _ := stubWorker{}.RunPoint(context.Background(), j)
+		if err := crashed.AppendPoint("unretired", jobstore.PointRecord{Pos: pos, Point: pt}); err != nil {
+			t.Fatal(err)
+		}
+		want[pos] = toWire(j, pt, false)
+		want[pos].Seq = pos + 1
+	}
+	crashed.Close()
+
+	store := openStore(t, dir)
+	defer store.Close()
+	var runs atomic.Int64
+	srv, ts := startServer(t, Config{
+		Workers:   1,
+		NewWorker: func() Worker { return gatedWorker{gate: closedGate(), runs: &runs} },
+		Store:     store,
+	})
+	if rb, rp, re := srv.Recovery(); rb != 1 || rp != len(jobs) || re != 0 {
+		t.Fatalf("Recovery() = (%d,%d,%d), want (1,%d,0)", rb, rp, re, len(jobs))
+	}
+	resp, err := http.Get(ts.URL + PathSubmit + "/unretired?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var h Header
+	if err := dec.Decode(&h); err != nil || h.Batch != "unretired" || h.Points != len(jobs) {
+		t.Fatalf("header = %+v (%v), want batch unretired of %d points", h, err, len(jobs))
+	}
+	for i := range jobs {
+		var sp StreamPoint
+		if err := dec.Decode(&sp); err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		if sp != want[i] {
+			t.Fatalf("point %d = %+v, want %+v", i, sp, want[i])
+		}
+	}
+	var tr Trailer
+	if err := dec.Decode(&tr); err != nil || !tr.Done || tr.Points != len(jobs) {
+		t.Fatalf("trailer = %+v (%v), want done with %d points", tr, err, len(jobs))
+	}
+	waitFor(t, "the batch to retire", func() bool { return srv.durabilityStats().LiveBatches == 0 })
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("the restarted server simulated %d points of a complete batch", n)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("journal segments = %v (%v), want one", segs, err)
+	}
+	if buf, err := os.ReadFile(segs[0]); err != nil || string(buf) != "daosjnl1" {
+		t.Fatalf("journal after retirement = %q (%v), want its bare header", buf, err)
 	}
 }
 
@@ -226,16 +373,18 @@ func TestKillRestartResume(t *testing.T) {
 		// none, the servers run without a cache.
 		hits []int
 		// tokens is how many points server 1 may simulate, before how
-		// many points the client holds when the kill lands, and commits
-		// how many journal appends carried those points.
-		tokens, before, commits int
+		// many points the client holds when the kill lands, and syncs how
+		// many journal fsyncs carried the batch record and those points.
+		tokens, before, syncs int
 	}{
-		// Every point is a miss and commits on its own.
-		{name: "cold", tokens: total / 3, before: total / 3, commits: total / 3},
-		// Hits 0 and 1 commit together before miss 2 waits for the one
-		// slot, miss 2 commits on its own, and hit 4 commits before miss 5
-		// waits. Misses 3 (gated in the slot) and 5 (queued) never land.
-		{name: "half warm", hits: []int{0, 1, 4}, tokens: 1, before: 4, commits: 3},
+		// The batch record syncs on its own before miss 0 waits for the
+		// slot, and every point is a miss that commits on its own.
+		{name: "cold", tokens: total / 3, before: total / 3, syncs: 1 + total/3},
+		// Hits 0 and 1 commit together, with the batch record, before
+		// miss 2 waits for the one slot; miss 2 commits on its own, and
+		// hit 4 commits before miss 5 waits. Misses 3 (gated in the slot)
+		// and 5 (queued) never land.
+		{name: "half warm", hits: []int{0, 1, 4}, tokens: 1, before: 4, syncs: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hit := make([]bool, total)
@@ -312,8 +461,8 @@ func TestKillRestartResume(t *testing.T) {
 			waitFor(t, fmt.Sprintf("%d points at the client before the kill", tc.before), func() bool {
 				return received.Load() >= int64(tc.before)
 			})
-			if got := store1.Syncs() - opened; got != int64(1+tc.commits) {
-				t.Fatalf("journal fsyncs before the kill = %d, want %d (batch record + %d commits)", got, 1+tc.commits, tc.commits)
+			if got := store1.Syncs() - opened; got != int64(tc.syncs) {
+				t.Fatalf("journal fsyncs before the kill = %d, want %d", got, tc.syncs)
 			}
 
 			// "kill -9": stop the scheduler with no drain, sever every client

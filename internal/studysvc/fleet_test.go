@@ -321,6 +321,42 @@ func TestStreamSeveredMidStreamIsTruncationError(t *testing.T) {
 	}
 }
 
+// TestSubmitReusesConnection: a stream's trailer leaves in one write
+// with the response's end, so the client's read of the trailer ends the
+// response and back-to-back submissions share one keep-alive connection,
+// journaled or not. A response that ended after its flushed trailer (a
+// journaled batch retires in between) made the client drop the
+// connection and dial again for the next batch.
+func TestSubmitReusesConnection(t *testing.T) {
+	cfgs := durableConfigs()
+	for _, durable := range []bool{false, true} {
+		cfg := Config{Workers: 1, NewWorker: func() Worker { return stubWorker{} }}
+		if durable {
+			store := openStore(t, t.TempDir())
+			defer store.Close()
+			cfg.Store = store
+		}
+		_, ts := startServer(t, cfg)
+		var dials atomic.Int64
+		client := NewClient(ts.URL)
+		client.HTTP = &http.Client{Transport: &http.Transport{
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				dials.Add(1)
+				return (&net.Dialer{}).DialContext(ctx, network, addr)
+			},
+		}}
+		for i := 0; i < 5; i++ {
+			if _, err := client.Submit(context.Background(), cfgs); err != nil {
+				t.Fatalf("durable=%v: Submit %d: %v", durable, i, err)
+			}
+		}
+		client.HTTP.CloseIdleConnections()
+		if n := dials.Load(); n != 1 {
+			t.Fatalf("durable=%v: 5 submissions dialed %d connections, want 1", durable, n)
+		}
+	}
+}
+
 // TestCloseVsSubmitRace is the satellite drain-race hammer: submissions
 // racing Server.Close must each either complete, be refused with the 503
 // draining body, or fail with an explicit truncation/transport error —

@@ -32,8 +32,8 @@ import (
 //
 // On a server with a job store (daosd -store-dir) the exchange gains a
 // batch identity. The client names its submission ("batch" in the POST
-// body; the server generates an id when absent), the Header echoes it,
-// and every StreamPoint carries a per-batch delivery sequence number
+// body; the server generates an id when absent), the Header echoes it
+// once the batch is journaled and synced, and every StreamPoint carries a per-batch delivery sequence number
 // ("seq", 1-based, dense in delivery order). A severed stream is then
 // resumable Last-Event-Id style:
 //
